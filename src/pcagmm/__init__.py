@@ -3,10 +3,10 @@ application to patch-based superresolution of images and volumes."""
 
 from .degrade import degrade, dft_downsample, gauss_blur
 from .errors import (
-    ConvergenceDomainViolated,
     CorruptHeader,
     DegenerateDensity,
     EmptyComponent,
+    InvalidParameter,
     InvalidShape,
     LineSearchFailed,
     NotPositiveDefinite,
@@ -32,7 +32,6 @@ from .linalg import (
     logdet_spd,
     project_stiefel,
     random_stiefel,
-    schulz_polar,
     solve_spd,
 )
 from .metrics import bicubic_upsample, nearest_upsample, psnr

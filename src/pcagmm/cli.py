@@ -3,13 +3,13 @@ evaluation. Exit codes: 0 success, 2 invalid arguments, 3 data or format
 error, 4 numerical failure."""
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 from .degrade import degrade
 from .errors import (
-    ConvergenceDomainViolated,
     CorruptHeader,
     DegenerateDensity,
     EmptyComponent,
@@ -39,7 +39,6 @@ _DATA_ERRORS = (
 _NUMERIC_ERRORS = (
     NotPositiveDefinite,
     RankDeficient,
-    ConvergenceDomainViolated,
     DegenerateDensity,
     EmptyComponent,
     LineSearchFailed,
@@ -48,6 +47,21 @@ _NUMERIC_ERRORS = (
 
 # default training patch budget for volumes; 2D enumerates exhaustively
 _MAX_PATCHES_3D = 1_000_000
+
+
+def _at_least(kind, low, strict=False):
+    """argparse type for a finite `kind` value >= low (> low when strict).
+    argparse reports the ValueError raised for anything else under this
+    function's name and exits with code 2."""
+
+    def parse(text):
+        value = kind(text)
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            raise ValueError(text)
+        return value
+
+    parse.__name__ = f"{kind.__name__} {'>' if strict else '>='} {low}"
+    return parse
 
 
 def _cmd_degrade(args):
@@ -139,10 +153,10 @@ def build_parser():
     p = sub.add_parser("degrade", help="blur, downsample and add noise")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--factor", type=int, required=True)
-    p.add_argument("--blur-std", type=float, default=0.5)
-    p.add_argument("--noise-std", type=float, default=0.02)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--factor", type=_at_least(int, 2), required=True)
+    p.add_argument("--blur-std", type=_at_least(float, 0.0, strict=True), default=0.5)
+    p.add_argument("--noise-std", type=_at_least(float, 0.0), default=0.02)
+    p.add_argument("--seed", type=_at_least(int, 0), default=0)
     p.set_defaults(func=_cmd_degrade)
 
     p = sub.add_parser("train", help="fit a mixture model on joint patches")
@@ -150,29 +164,23 @@ def build_parser():
     p.add_argument("--low", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--kind", choices=("gmm", "pcagmm"), default="pcagmm")
-    p.add_argument("--components", type=int, default=100)
-    p.add_argument("--tau", type=int, default=4)
-    p.add_argument("--factor", type=int, required=True)
-    p.add_argument("--reduced-dim", type=int, default=20)
-    p.add_argument("--sigma", type=float, default=0.1)
-    p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--max-patches", type=int, default=None)
-    p.add_argument("--em-iters", type=int, default=100)
-    p.add_argument("--em-tol", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="force serial reductions (reductions are always serial here, so "
-        "this flag only documents the intent)",
-    )
+    p.add_argument("--components", type=_at_least(int, 1), default=100)
+    p.add_argument("--tau", type=_at_least(int, 1), default=4)
+    p.add_argument("--factor", type=_at_least(int, 2), required=True)
+    p.add_argument("--reduced-dim", type=_at_least(int, 1), default=20)
+    p.add_argument("--sigma", type=_at_least(float, 0.0, strict=True), default=0.1)
+    p.add_argument("--stride", type=_at_least(int, 1), default=1)
+    p.add_argument("--max-patches", type=_at_least(int, 1), default=None)
+    p.add_argument("--em-iters", type=_at_least(int, 0), default=100)
+    p.add_argument("--em-tol", type=_at_least(float, 0.0), default=1e-5)
+    p.add_argument("--seed", type=_at_least(int, 0), default=0)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("superres", help="reconstruct a high-resolution image")
     p.add_argument("--low", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--gamma", type=float, default=0.1)
+    p.add_argument("--gamma", type=_at_least(float, 0.0), default=0.1)
     p.set_defaults(func=_cmd_superres)
 
     p = sub.add_parser("psnr", help="peak signal-to-noise ratio of two images")

@@ -17,8 +17,8 @@ class RankDeficient(PcagmmError):
     """A matrix required to have full column rank is numerically singular."""
 
 
-class ConvergenceDomainViolated(PcagmmError):
-    """Input lies outside the convergence region of the iterative method."""
+class InvalidParameter(PcagmmError):
+    """A model parameter violates an invariant other than its shape."""
 
 
 class DegenerateDensity(PcagmmError):

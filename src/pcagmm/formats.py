@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import (
     CorruptHeader,
+    InvalidParameter,
     InvalidShape,
     NotPositiveDefinite,
     UnsupportedFormat,
@@ -236,6 +237,6 @@ def load_model(path):
 def _validated(model):
     try:
         model.validate()
-    except (AssertionError, NotPositiveDefinite) as exc:
+    except (InvalidParameter, NotPositiveDefinite) as exc:
         raise CorruptHeader(f"model file fails parameter invariants: {exc}") from exc
     return model

@@ -1,8 +1,8 @@
 """Full-dimensional Gaussian mixture models fitted by EM.
 
 This is both the baseline method of the benchmark tables and the numerical
-foundation reused by the reduced model: log-domain densities, responsibility
-computation and weighted-moment updates.
+foundation reused by the reduced model and by component selection: the
+Gaussian scoring kernel, responsibility computation and the EM loop.
 """
 
 from dataclasses import dataclass
@@ -11,7 +11,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
-from .errors import DegenerateDensity, EmptyComponent, InvalidShape
+from .errors import DegenerateDensity, EmptyComponent, InvalidParameter, InvalidShape
 from .linalg import cholesky_spd, regularize_spd
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -43,11 +43,17 @@ class GmmParams:
         K, n = self.n_components, self.dim
         if self.means.shape != (K, n) or self.covs.shape != (K, n, n):
             raise InvalidShape("inconsistent parameter shapes")
-        assert np.all(self.alpha >= 0.0)
-        assert abs(self.alpha.sum() - 1.0) <= 1e-12
-        for k in range(K):
-            cholesky_spd(self.covs[k])
+        check_mixture(self.alpha, self.covs)
         return self
+
+
+def check_mixture(alpha, covs):
+    """Raise InvalidParameter unless the mixture weights are nonnegative and
+    sum to one, and NotPositiveDefinite unless every covariance factors."""
+    if not (np.all(alpha >= 0.0) and abs(alpha.sum() - 1.0) <= 1e-12):
+        raise InvalidParameter("mixture weights are not on the probability simplex")
+    for cov in covs:
+        cholesky_spd(cov)
 
 
 @dataclass
@@ -58,7 +64,8 @@ class EmConfig:
 
 @dataclass
 class EmTrace:
-    """Objective value before the first update and after every iteration."""
+    """Objective value before the first update and after every iteration,
+    with the per-component mean norms at the same points."""
 
     objective: np.ndarray
     n_reseeds: int = 0
@@ -72,16 +79,14 @@ def gauss_logpdf(x, mu, sigma):
     mu = np.asarray(mu, dtype=float)
     if x.shape != mu.shape or sigma.shape != (x.size, x.size):
         raise InvalidShape("inconsistent density argument shapes")
-    L = cholesky_spd(sigma)
-    z = solve_triangular(L, x - mu, lower=True)
-    return float(
-        -0.5 * x.size * _LOG_2PI - np.sum(np.log(np.diag(L))) - 0.5 * z @ z
-    )
+    return float(_logpdf_rows(x[None], mu, cholesky_spd(sigma))[0])
 
 
-def _logpdf_rows(X, mu, L):
-    """Log densities of the rows of X under N(mu, L L^T)."""
-    Z = solve_triangular(L, (X - mu).T, lower=True)
+def _logpdf_rows(X, mu, L, work=None):
+    """Log densities of the rows of X under N(mu, L L^T). The centered rows
+    are whitened in place, in `work` when it is given (an array shaped like X)."""
+    Y = np.subtract(X, mu, out=work)
+    Z = solve_triangular(L, Y.T, lower=True, overwrite_b=True)
     return (
         -0.5 * X.shape[1] * _LOG_2PI
         - np.sum(np.log(np.diag(L)))
@@ -89,17 +94,32 @@ def _logpdf_rows(X, mu, L):
     )
 
 
-def _log_joint(params, X):
-    """N x K matrix of log(alpha_k) + log density of x_i under component k."""
-    N = X.shape[0]
-    K = params.n_components
-    out = np.empty((N, K))
-    with np.errstate(divide="ignore"):
-        log_alpha = np.log(params.alpha)
-    for k in range(K):
-        L = cholesky_spd(params.covs[k])
-        out[:, k] = log_alpha[k] + _logpdf_rows(X, params.means[k], L)
+def _log_scores(X, log_alpha, means, chol, project=None):
+    """N x K matrix of log alpha_k + log N(rows_k; means[k], L_k L_k^T) with
+    L_k = chol(k), where rows_k is X, or project(k) for components that score
+    the samples in their own coordinates.
+
+    Only one component's factor and rows are alive at a time, and every
+    component is whitened in one N x m work array. A component whose log
+    weight is -inf scores -inf without reading its rows, mean or factor.
+    """
+    out = np.full((X.shape[0], len(log_alpha)), -np.inf)
+    work = np.empty((X.shape[0], means.shape[1]))
+    for k in np.flatnonzero(log_alpha != -np.inf):
+        rows = X if project is None else project(k)
+        out[:, k] = log_alpha[k] + _logpdf_rows(rows, means[k], chol(k), work)
     return out
+
+
+def _log_joint(model, X, project=None):
+    """N x K matrix of log(alpha_k) + log density of x_i under component k,
+    for any mixture with weights alpha, means and covariances covs; project
+    is passed on to _log_scores."""
+    with np.errstate(divide="ignore"):
+        log_alpha = np.log(model.alpha)
+    return _log_scores(
+        X, log_alpha, model.means, lambda k: cholesky_spd(model.covs[k]), project
+    )
 
 
 def _normalize_rows(log_joint):
@@ -150,6 +170,8 @@ def gmm_mstep(X, beta):
 def kmeanspp_indices(X, K, rng):
     """Indices of K seed samples chosen by squared-distance-weighted sampling."""
     N = X.shape[0]
+    if N < K:
+        raise InvalidShape(f"need at least K={K} samples, got {N}")
     chosen = [int(rng.integers(N))]
     d2 = np.sum((X - X[chosen[0]]) ** 2, axis=1)
     for _ in range(K - 1):
@@ -162,10 +184,8 @@ def kmeanspp_indices(X, K, rng):
     return np.asarray(chosen)
 
 
-def _init_params(X, K, rng):
-    N, n = X.shape
+def _init_params(X, K, base_cov, rng):
     seeds = kmeanspp_indices(X, K, rng)
-    base_cov = regularize_spd(np.cov(X.T, bias=True).reshape(n, n))
     return GmmParams(
         alpha=np.full(K, 1.0 / K),
         means=X[seeds].copy(),
@@ -173,53 +193,71 @@ def _init_params(X, K, rng):
     )
 
 
-def _reseed(params, X, beta, starved, base_cov):
-    """Move each starved component onto the worst-explained sample."""
-    worst_order = np.argsort(beta.max(axis=1))
-    for j, k in enumerate(starved):
-        params.means[k] = X[worst_order[j % len(worst_order)]]
-        params.covs[k] = base_cov.copy()
-        params.alpha[k] = 1.0 / params.n_components
-    params.alpha /= params.alpha.sum()
+def _run_em(X, model, log_joint, mstep, reset, config):
+    """EM iterations shared by every mixture; returns the model and its trace.
+
+    log_joint(model, X) gives the N x K log scores, mstep(model, X, beta) the
+    updated model, and reset(model, k, x) restarts component k at sample x.
+    One density pass per iteration serves both the responsibilities and the
+    objective entry. The trace holds the objective of the initial model and
+    of the model after every update; it is nonincreasing up to floating-point
+    reduction order except across reseeds. Before an update, every starved
+    component is reset onto one of the worst-explained samples with weight
+    1/K before renormalization.
+    """
+    N = X.shape[0]
+    objective = []
+    mean_norms = []
+    n_reseeds = 0
+    while True:
+        beta, norm = _normalize_rows(log_joint(model, X))
+        objective.append(float(-np.sum(norm)))
+        mean_norms.append(np.linalg.norm(model.means, axis=1))
+        if len(objective) > 1:
+            prev = objective[-2]
+            if prev - objective[-1] < config.tol * max(abs(prev), 1.0):
+                break
+        if len(objective) > config.max_iters:
+            break
+        starved = np.flatnonzero(beta.sum(axis=0) < _EMPTY_REL * N)
+        if starved.size:
+            worst_order = np.argsort(beta.max(axis=1))
+            for j, k in enumerate(starved):
+                reset(model, k, X[worst_order[j % N]])
+            model.alpha[starved] = 1.0 / model.n_components
+            model.alpha /= model.alpha.sum()
+            n_reseeds += len(starved)
+            beta, _ = _normalize_rows(log_joint(model, X))
+        model = mstep(model, X, beta)
+    return model, EmTrace(
+        objective=np.asarray(objective),
+        n_reseeds=n_reseeds,
+        mean_norms=np.asarray(mean_norms),
+    )
 
 
 def fit_gmm(X, K, config=None, seed=0):
     """EM fit of a K-component mixture; returns the parameters and the
-    objective trace, which is nonincreasing up to floating-point reduction
-    order except across reseeds of starved components.
-
-    One density pass per iteration serves both the responsibilities and the
-    objective entry; the trace holds the objective of the initial parameters
-    and of the parameters after every update.
-    """
+    objective trace of _run_em. A starved component restarts at a sample
+    with the covariance of all the data."""
     X = np.asarray(X, dtype=float)
-    config = config or EmConfig()
-    N, n = X.shape
-    if N < K:
-        raise InvalidShape(f"need at least K={K} samples, got {N}")
-    rng = np.random.default_rng(seed)
-    params = _init_params(X, K, rng)
-    base_cov = params.covs[0].copy()
+    n = X.shape[1]
+    base_cov = regularize_spd(np.cov(X.T, bias=True).reshape(n, n))
 
-    objective = []
-    n_reseeds = 0
-    updates = 0
-    prev = None
-    while True:
-        beta, norm = _normalize_rows(_log_joint(params, X))
-        nll = float(-np.sum(norm))
-        objective.append(nll)
-        if prev is not None and prev - nll < config.tol * max(abs(prev), 1.0):
-            break
-        if updates >= config.max_iters:
-            break
-        cols = beta.sum(axis=0)
-        starved = np.flatnonzero(cols < _EMPTY_REL * N)
-        if starved.size:
-            _reseed(params, X, beta, starved, base_cov)
-            n_reseeds += len(starved)
-            beta = gmm_estep(params, X)
-        params = gmm_mstep(X, beta)
-        updates += 1
-        prev = nll
-    return params, EmTrace(objective=np.asarray(objective), n_reseeds=n_reseeds)
+    def mstep(params, X, beta):
+        return gmm_mstep(X, beta)
+
+    def reset(params, k, x):
+        params.means[k] = x
+        params.covs[k] = base_cov
+
+    # passed inline: a local name would keep the initial parameters alive
+    # through every update
+    return _run_em(
+        X,
+        _init_params(X, K, base_cov, np.random.default_rng(seed)),
+        _log_joint,
+        mstep,
+        reset,
+        config or EmConfig(),
+    )

@@ -7,12 +7,7 @@ so any number of workers may call these concurrently.
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import (
-    ConvergenceDomainViolated,
-    InvalidShape,
-    NotPositiveDefinite,
-    RankDeficient,
-)
+from .errors import InvalidShape, NotPositiveDefinite, RankDeficient
 
 # Relative scale of the one-shot diagonal shift applied to a near-singular
 # matrix before Cholesky gives up. The absolute fallback keeps an all-zero
@@ -93,30 +88,6 @@ def project_stiefel(A):
     U = P @ Qt
     assert stiefel_defect(U) <= 1e-10
     return U
-
-
-def schulz_polar(A, tol=1e-14, max_iters=100):
-    """Orthonormal polar factor by the quadratic iteration
-    X <- X (I + (I - X^T X) / 2), valid only when ||I - A^T A||_F < 1.
-
-    Callers should fall back to project_stiefel when the domain guard fires,
-    which is the common case for gradient steps of meaningful length.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] < A.shape[1]:
-        raise InvalidShape(f"expected a tall matrix, got shape {A.shape}")
-    eye = np.eye(A.shape[1])
-    if np.linalg.norm(eye - A.T @ A) >= 1.0:
-        raise ConvergenceDomainViolated(
-            "||I - A^T A||_F >= 1; the iteration would not converge"
-        )
-    X = A.copy()
-    for _ in range(max_iters):
-        R = eye - X.T @ X
-        if np.linalg.norm(R) <= tol:
-            break
-        X = X @ (eye + 0.5 * R)
-    return X
 
 
 def random_stiefel(n, d, seed):

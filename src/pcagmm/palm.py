@@ -79,20 +79,6 @@ class SolverConfig:
         assert self.extrapolation in ("none", "dynamic")
 
 
-def _scatter(problem, b):
-    """Residual r = sum_x - w b and scatter S about b, both affine images of
-    the stored moments."""
-    st = problem.stats
-    r = st.sum_x - st.weight * b
-    S = (
-        st.sum_outer
-        - np.outer(st.sum_x, b)
-        - np.outer(b, st.sum_x)
-        + st.weight * np.outer(b, b)
-    )
-    return S, r
-
-
 def _chol_projected(S, U):
     T = U.T @ S @ U
     L = try_cholesky(0.5 * (T + T.T))
@@ -148,7 +134,7 @@ def _grad_b(problem, S, r, U):
 
 def eval_G(problem, U, b):
     """Value of the M-step objective at (U, b)."""
-    S, r = _scatter(problem, b)
+    S, r = problem.stats.scatter_about(b)
     return _eval(problem, S, r, U)
 
 
@@ -157,7 +143,7 @@ def grad_G_U(problem, U, b):
 
     Matches central finite differences of eval_G in the ambient space.
     """
-    S, r = _scatter(problem, b)
+    S, r = problem.stats.scatter_about(b)
     return _grad_U(problem, S, r, U)
 
 
@@ -167,7 +153,7 @@ def grad_G_b(problem, U, b):
     Note the component along span(U) is a nonlinear function of b; only the
     part in ker(U^T) is affine in b.
     """
-    S, r = _scatter(problem, b)
+    S, r = problem.stats.scatter_about(b)
     return _grad_b(problem, S, r, U)
 
 
@@ -229,7 +215,7 @@ def _minimize(problem, U0, b0, config, inertial):
         tol = 1e-7 * np.sqrt(problem.n * problem.d + problem.n)
     growth = config.lipschitz_growth
 
-    S, r = _scatter(problem, b)
+    S, r = problem.stats.scatter_about(b)
     try:
         G = _eval(problem, S, r, U)
     except NotPositiveDefinite:
@@ -259,7 +245,7 @@ def _minimize(problem, U0, b0, config, inertial):
         b_prev = b
         if new_b is not None:
             b, G = new_b, new_G
-            S, r = _scatter(problem, b)
+            S, r = problem.stats.scatter_about(b)
 
         trace.append(G)
         if np.hypot(step_u, step_b) < tol:
@@ -312,18 +298,18 @@ def _u_step(problem, S, r, U, U_prev, b, G, gamma, tau, growth):
 def _b_step(problem, U, b, b_prev, G, gamma, tau, growth):
     if gamma > 0.0:
         by = b + gamma * (b - b_prev)
-        Sy, ry = _scatter(problem, by)
+        Sy, ry = problem.stats.scatter_about(by)
         try:
             g = _grad_b(problem, Sy, ry, U)
             cand = by - g / tau
-            Sc, rc = _scatter(problem, cand)
+            Sc, rc = problem.stats.scatter_about(cand)
             cand_G = _eval(problem, Sc, rc, U)
             if cand_G <= G:
                 return cand, cand_G, float(np.linalg.norm(cand - b)), tau
         except NotPositiveDefinite:
             pass
 
-    S, r = _scatter(problem, b)
+    S, r = problem.stats.scatter_about(b)
     g = _grad_b(problem, S, r, U)
     tau_in = tau
     for _ in range(MAX_BACKTRACKS):
@@ -332,7 +318,7 @@ def _b_step(problem, U, b, b_prev, G, gamma, tau, growth):
         required = tau * (1.0 - 1.0 / BACKTRACK_MARGIN) / 2.0 * step2
         if step2 <= _STEP_DEADBAND**2 or required <= _NOISE_FLOOR * (1.0 + abs(G)):
             return None, G, 0.0, tau_in
-        Sc, rc = _scatter(problem, cand)
+        Sc, rc = problem.stats.scatter_about(cand)
         try:
             cand_G = _eval(problem, Sc, rc, U)
         except NotPositiveDefinite:

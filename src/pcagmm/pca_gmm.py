@@ -11,21 +11,22 @@ reduced dimension and only the lifting below ever forms the n x n form.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .errors import DegenerateDensity, EmptyComponent, InvalidShape
+from .errors import EmptyComponent, InvalidParameter, InvalidShape
 from .gmm import (
     EmConfig,
-    EmTrace,
-    _EMPTY_REL,
-    _logpdf_rows,
+    _log_joint as _gaussian_log_joint,
+    _normalize_rows,
+    _run_em,
+    check_mixture,
     kmeanspp_indices,
 )
-from .linalg import cholesky_spd, regularize_spd, stiefel_defect
+from .linalg import regularize_spd, stiefel_defect
+
+# palm_minimize is re-exported next to ipalm_minimize, where the benchmark's
+# tracer looks both solvers up.
 from .palm import MStepProblem, SolverConfig, ipalm_minimize, palm_minimize
 from .stats import SufficientStats, accumulate_stats
-
-_LOG_2PI = np.log(2.0 * np.pi)
 
 
 @dataclass
@@ -66,14 +67,15 @@ class PcaGmmModel:
             or self.offsets.shape != (K, n)
             or self.means.shape != (K, d)
             or self.covs.shape != (K, d, d)
+            or d > n
         ):
             raise InvalidShape("inconsistent parameter shapes")
-        assert d <= n and self.sigma > 0.0
-        assert np.all(self.alpha >= 0.0)
-        assert abs(self.alpha.sum() - 1.0) <= 1e-12
+        if not self.sigma > 0.0:
+            raise InvalidParameter(f"sigma must be positive, got {self.sigma}")
+        check_mixture(self.alpha, self.covs)
         for k in range(K):
-            assert stiefel_defect(self.bases[k]) <= 1e-10
-            cholesky_spd(self.covs[k])
+            if not stiefel_defect(self.bases[k]) <= 1e-10:
+                raise InvalidParameter(f"frame {k} is not orthonormal")
         return self
 
 
@@ -104,27 +106,20 @@ def lift_component(basis, offset, mean, cov, sigma):
 def _log_joint(model, X):
     """N x K matrix of per-component log scores.
 
-    Works entirely with reduced densities plus the off-subspace residual
-    energy, computed as ||y||^2 - ||U^T y||^2.
+    Scores the reduced coordinates U^T (x - b) and subtracts the off-subspace
+    residual energy, computed as ||y||^2 - ||U^T y||^2, over 2 sigma^2.
     """
     X = np.asarray(X, dtype=float)
-    N = X.shape[0]
-    K = model.n_components
-    inv_two_sig2 = 0.5 / model.sigma**2
-    out = np.empty((N, K))
-    with np.errstate(divide="ignore"):
-        log_alpha = np.log(model.alpha)
-    for k in range(K):
+    residual = np.zeros((X.shape[0], model.n_components))
+
+    def reduced(k):
         Y = X - model.offsets[k]
         P = Y @ model.bases[k]
-        residual = np.einsum("ij,ij->i", Y, Y) - np.einsum("ij,ij->i", P, P)
-        L = cholesky_spd(model.covs[k])
-        out[:, k] = (
-            log_alpha[k]
-            + _logpdf_rows(P, model.means[k], L)
-            - inv_two_sig2 * residual
-        )
-    return out
+        residual[:, k] = np.einsum("ij,ij->i", Y, Y) - np.einsum("ij,ij->i", P, P)
+        return P
+
+    scores = _gaussian_log_joint(model, X, reduced)
+    return scores - (0.5 / model.sigma**2) * residual
 
 
 def pcagmm_objective(model, X):
@@ -133,20 +128,14 @@ def pcagmm_objective(model, X):
     X = np.asarray(X, dtype=float)
     if X.shape[0] == 0:
         return 0.0
-    norm = logsumexp(_log_joint(model, X), axis=1)
-    if not np.all(np.isfinite(norm)):
-        raise DegenerateDensity("some sample has zero density under every component")
+    _, norm = _normalize_rows(_log_joint(model, X))
     return float(-np.sum(norm))
 
 
 def pcagmm_estep(model, X):
     """Row-stochastic responsibilities, computed in the log domain."""
-    X = np.asarray(X, dtype=float)
-    lj = _log_joint(model, X)
-    norm = logsumexp(lj, axis=1)
-    if not np.all(np.isfinite(norm)):
-        raise DegenerateDensity("some sample has zero density under every component")
-    return np.exp(lj - norm[:, None])
+    beta, _ = _normalize_rows(_log_joint(model, X))
+    return beta
 
 
 def recover_component(stats, basis, offset, weight_floor=1e-12):
@@ -161,13 +150,7 @@ def recover_component(stats, basis, offset, weight_floor=1e-12):
     if stats.weight < weight_floor:
         raise EmptyComponent()
     w = stats.weight
-    resid = stats.sum_x - w * offset
-    scatter = (
-        stats.sum_outer
-        - np.outer(stats.sum_x, offset)
-        - np.outer(offset, stats.sum_x)
-        + w * np.outer(offset, offset)
-    )
+    scatter, resid = stats.scatter_about(offset)
     mean = basis.T @ resid / w
     cov = regularize_spd(basis.T @ scatter @ basis / w)
     return mean, cov
@@ -221,83 +204,39 @@ def _floored_stats(stats):
     )
 
 
-def _reseed(model, X, beta, starved, rng):
-    worst_order = np.argsort(beta.max(axis=1))
-    d = model.reduced_dim
-    for j, k in enumerate(starved):
-        x = X[worst_order[j % len(worst_order)]]
-        model.offsets[k] = x
-        model.means[k] = np.zeros(d)
-        model.covs[k] = np.eye(d) * max(1e-6, model.sigma**2)
-        model.alpha[k] = 1.0 / model.n_components
-    model.alpha /= model.alpha.sum()
-
-
 def fit_pcagmm(X, K, d, sigma, em_config=None, solver_config=None, seed=0):
     """EM fit of the subspace mixture.
 
     Every iteration runs the responsibility update, accumulates per-component
     moments, minimizes each component's frame/offset objective warm-started
     at the previous iterate, and recovers the reduced mean and covariance.
-    Returns the model and a trace holding the objective after every iteration
-    plus the per-component reduced-mean norms (the gauge diagnostic).
+    A starved component restarts at a sample with zero reduced mean and
+    covariance max(1e-6, sigma^2) I, keeping its frame. Returns the model and
+    the trace of _run_em, whose mean norms are the gauge diagnostic.
     """
     X = np.asarray(X, dtype=float)
-    em_config = em_config or EmConfig()
     solver_config = solver_config or SolverConfig()
     N, n = X.shape
-    if N < K:
-        raise InvalidShape(f"need at least K={K} samples, got {N}")
     if not 1 <= d <= n:
         raise InvalidShape(f"need 1 <= d <= n, got d={d}, n={n}")
-    rng = np.random.default_rng(seed)
-    model = _init_model(X, K, d, sigma, rng)
-    minimize = (
-        palm_minimize if solver_config.extrapolation == "none" else ipalm_minimize
-    )
+    model = _init_model(X, K, d, sigma, np.random.default_rng(seed))
 
-    objective = []
-    mean_norms = []
-    n_reseeds = 0
-    updates = 0
-    prev = None
-    while True:
-        lj = _log_joint(model, X)
-        norm = logsumexp(lj, axis=1)
-        if not np.all(np.isfinite(norm)):
-            raise DegenerateDensity(
-                "some sample has zero density under every component"
-            )
-        objective.append(float(-np.sum(norm)))
-        mean_norms.append(np.linalg.norm(model.means, axis=1))
-        if prev is not None and prev - objective[-1] < em_config.tol * max(
-            abs(prev), 1.0
-        ):
-            break
-        if updates >= em_config.max_iters:
-            break
-        prev = objective[-1]
-        beta = np.exp(lj - norm[:, None])
-        cols = beta.sum(axis=0)
-        starved = np.flatnonzero(cols < _EMPTY_REL * N)
-        if starved.size:
-            _reseed(model, X, beta, starved, rng)
-            n_reseeds += len(starved)
-            beta = pcagmm_estep(model, X)
-            cols = beta.sum(axis=0)
-        model.alpha = cols / N
-        for k in range(model.n_components):
+    def mstep(model, X, beta):
+        model.alpha = beta.sum(axis=0) / N
+        for k in range(K):
             stats = _floored_stats(accumulate_stats(X, beta, k))
             problem = MStepProblem(stats=stats, sigma=model.sigma, n=n, d=d)
-            U, b, _ = minimize(
+            U, b, _ = ipalm_minimize(
                 problem, model.bases[k], model.offsets[k], solver_config
             )
             model.bases[k] = U
             model.offsets[k] = b
             model.means[k], model.covs[k] = recover_component(stats, U, b)
-        updates += 1
-    return model, EmTrace(
-        objective=np.asarray(objective),
-        n_reseeds=n_reseeds,
-        mean_norms=np.asarray(mean_norms),
-    )
+        return model
+
+    def reset(model, k, x):
+        model.offsets[k] = x
+        model.means[k] = 0.0
+        model.covs[k] = np.eye(d) * max(1e-6, model.sigma**2)
+
+    return _run_em(X, model, _log_joint, mstep, reset, em_config or EmConfig())

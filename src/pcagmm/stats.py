@@ -23,6 +23,18 @@ class SufficientStats:
         assert self.sum_x.ndim == 1
         assert self.sum_outer.shape == (self.sum_x.size, self.sum_x.size)
 
+    def scatter_about(self, b):
+        """Scatter S about b and residual r = sum_x - weight b, both affine
+        images of the stored moments."""
+        r = self.sum_x - self.weight * b
+        S = (
+            self.sum_outer
+            - np.outer(self.sum_x, b)
+            - np.outer(b, self.sum_x)
+            + self.weight * np.outer(b, b)
+        )
+        return S, r
+
 
 def accumulate_stats(X, beta, k):
     """Accumulate SufficientStats for component k from samples X and

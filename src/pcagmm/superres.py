@@ -8,7 +8,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import InvalidShape, NotPositiveDefinite
-from .gmm import GmmParams, _LOG_2PI
+from .gmm import GmmParams, _log_scores
 from .linalg import regularize_spd, solve_spd, try_cholesky
 from .patches import aggregate, extract_low
 from .pca_gmm import PcaGmmModel, lift_component
@@ -23,8 +23,10 @@ class ConditionalBlocks:
     mean_low   : (K, n_low)
     gain       : (K, n_high, n_low) cross-covariance times inverse low block
     chol_low   : (K, n_low, n_low) lower Cholesky factors of the low blocks
-    logdet_low : (K,)
     valid      : (K,) bool, False for excluded components
+
+    mean_low and chol_low of an excluded component are left uninitialized;
+    selection never reads them because its log weight is -inf.
     """
 
     log_alpha: np.ndarray
@@ -32,7 +34,6 @@ class ConditionalBlocks:
     mean_low: np.ndarray
     gain: np.ndarray
     chol_low: np.ndarray
-    logdet_low: np.ndarray
     valid: np.ndarray
 
 
@@ -56,15 +57,12 @@ def precompute_conditionals(model, geom):
     A component whose low block stays indefinite even after regularization is
     excluded from selection with a warning instead of aborting.
     """
-    if isinstance(model, PcaGmmModel):
-        n = model.dim
-    elif isinstance(model, GmmParams):
-        n = model.dim
-    else:
+    if not isinstance(model, (PcaGmmModel, GmmParams)):
         raise InvalidShape(f"unsupported model type {type(model).__name__}")
-    if n != geom.n_joint:
+    if model.dim != geom.n_joint:
         raise InvalidShape(
-            f"model dimension {n} does not match joint patch dimension {geom.n_joint}"
+            f"model dimension {model.dim} does not match joint patch dimension "
+            f"{geom.n_joint}"
         )
     nh, nl = geom.n_high, geom.n_low
     K = model.n_components
@@ -74,7 +72,6 @@ def precompute_conditionals(model, geom):
         mean_low=np.empty((K, nl)),
         gain=np.zeros((K, nh, nl)),
         chol_low=np.empty((K, nl, nl)),
-        logdet_low=np.zeros(K),
         valid=np.zeros(K, dtype=bool),
     )
     for k in range(K):
@@ -97,7 +94,6 @@ def precompute_conditionals(model, geom):
         blocks.mean_high[k] = mean[:nh]
         blocks.mean_low[k] = mean[nh:]
         blocks.chol_low[k] = L
-        blocks.logdet_low[k] = 2.0 * float(np.sum(np.log(np.diag(L))))
         with np.errstate(divide="ignore"):
             blocks.log_alpha[k] = np.log(model.alpha[k])
         blocks.valid[k] = True
@@ -109,21 +105,9 @@ def precompute_conditionals(model, geom):
 def _selection_scores(blocks, XL):
     """N x K matrix of log alpha_k plus the low-block log density."""
     XL = np.atleast_2d(np.asarray(XL, dtype=float))
-    N, nl = XL.shape
-    K = blocks.valid.size
-    scores = np.full((N, K), -np.inf)
-    const = -0.5 * nl * _LOG_2PI
-    for k in range(K):
-        if not blocks.valid[k]:
-            continue
-        Z = solve_triangular(blocks.chol_low[k], (XL - blocks.mean_low[k]).T, lower=True)
-        scores[:, k] = (
-            blocks.log_alpha[k]
-            + const
-            - 0.5 * blocks.logdet_low[k]
-            - 0.5 * np.einsum("ij,ij->j", Z, Z)
-        )
-    return scores
+    return _log_scores(
+        XL, blocks.log_alpha, blocks.mean_low, blocks.chol_low.__getitem__
+    )
 
 
 def select_component(blocks, x_low):

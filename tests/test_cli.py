@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pcagmm
 from pcagmm.cli import main
-from pcagmm.formats import read_image, write_image
+from pcagmm.formats import read_image, save_model, write_image
+from pcagmm.gmm import GmmParams
 
 
 @pytest.fixture()
@@ -73,7 +80,7 @@ class TestTrainSuperresPsnr:
             assert run("train", "--high", high, "--low", low, "--model", m,
                        "--kind", "pcagmm", "--components", 2, "--tau", 3,
                        "--factor", 2, "--reduced-dim", 3, "--em-iters", 4,
-                       "--seed", 7, "--deterministic") == 0
+                       "--seed", 7) == 0
         assert m1.read_bytes() == m2.read_bytes()
 
     def test_inspect_prints_header_and_diagnostics(self, scene, capsys):
@@ -88,6 +95,26 @@ class TestTrainSuperresPsnr:
         out = capsys.readouterr().out
         assert "kind=pcagmm" in out and "q=2 tau=3 dims=2" in out
         assert out.count("alpha=") == 2 and "|mean|=" in out
+
+    @pytest.mark.parametrize("optimize", [[], ["-O"]])
+    def test_invalid_weights_are_data_error(self, tmp_path, optimize):
+        # the checks must not be assertions, which -O strips
+        model = tmp_path / "bad.pgmm"
+        save_model(
+            model,
+            GmmParams(alpha=np.array([5.0]), means=np.zeros((1, 2)), covs=np.eye(2)[None]),
+        )
+        src = str(Path(pcagmm.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, *optimize, "-m", "pcagmm.cli", "inspect", "--model", str(model)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert proc.returncode == 3
+        assert "simplex" in proc.stderr
 
     def test_corrupt_model_is_data_error(self, scene):
         tmp, high = scene
@@ -115,6 +142,34 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as err:
             run("degrade", "--input", "x.pgm")
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("train", "--sigma", "0"),
+            ("train", "--sigma", "nan"),
+            ("train", "--components", "0"),
+            ("train", "--max-patches", "0"),
+            ("train", "--stride", "0"),
+            ("train", "--em-iters", "-1"),
+            ("train", "--factor", "1"),
+            ("superres", "--gamma", "-5"),
+            ("degrade", "--seed", "-1"),
+            ("degrade", "--noise-std", "-0.1"),
+        ],
+    )
+    def test_out_of_range_value(self, tmp_path, capsys, command, flag, value):
+        # every required flag is given, so only the bad value can fail parsing
+        required = {
+            "degrade": ["--input", "x.pgm", "--output", "y.pgm", "--factor", "2"],
+            "train": ["--high", "h.pgm", "--low", "l.pgm", "--model", "m.pgmm",
+                      "--factor", "2"],
+            "superres": ["--low", "l.pgm", "--model", "m.pgmm", "--output", "o.pgm"],
+        }[command]
+        with pytest.raises(SystemExit) as err:
+            run(command, *required, flag, value)
+        assert err.value.code == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
 
 
 class TestVolumePipeline:

@@ -155,6 +155,22 @@ class TestModelFile:
         assert geom is None
         assert gmm_path.stat().st_size < pca_path.stat().st_size
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("alpha", np.array([5.0, -4.0]), "simplex"),
+            ("sigma", -1.0, "sigma"),
+            ("bases", np.full((2, 5, 2), 0.5), "orthonormal"),
+        ],
+    )
+    def test_invariant_violations_are_corrupt(self, tmp_path, field, value, message):
+        model = random_pcagmm(np.random.default_rng(6), 2, 5, 2)
+        setattr(model, field, value)
+        path = tmp_path / "m.pgmm"
+        save_model(path, model)
+        with pytest.raises(CorruptHeader, match=message):
+            load_model(path)
+
     def test_header_is_one_readable_line(self, tmp_path):
         path = tmp_path / "m.pgmm"
         save_model(path, random_gmm(np.random.default_rng(5), 1, 3))

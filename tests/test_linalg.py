@@ -1,18 +1,12 @@
 import numpy as np
 import pytest
 
-from pcagmm.errors import (
-    ConvergenceDomainViolated,
-    InvalidShape,
-    NotPositiveDefinite,
-    RankDeficient,
-)
+from pcagmm.errors import InvalidShape, NotPositiveDefinite, RankDeficient
 from pcagmm.linalg import (
     cholesky_spd,
     logdet_spd,
     project_stiefel,
     random_stiefel,
-    schulz_polar,
     solve_spd,
     stiefel_defect,
 )
@@ -151,21 +145,6 @@ class TestProjectStiefel:
         lhs = project_stiefel(A @ R)
         rhs = project_stiefel(A) @ R
         assert np.linalg.norm(lhs - rhs) <= 1e-9
-
-
-class TestSchulz:
-    def test_fixed_point(self):
-        U = random_stiefel(5, 2, seed=3)
-        np.testing.assert_allclose(schulz_polar(U), U, atol=1e-12)
-
-    def test_matches_svd_polar_near_manifold(self):
-        U0 = random_stiefel(6, 3, seed=4)
-        A = 0.9 * U0
-        assert np.linalg.norm(schulz_polar(A) - U0) <= 1e-8
-
-    def test_domain_guard(self):
-        with pytest.raises(ConvergenceDomainViolated):
-            schulz_polar(3.0 * random_stiefel(4, 2, seed=5))
 
 
 class TestRandomStiefel:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import pcagmm.gmm as gmm_mod
+import pcagmm.pca_gmm as pca_mod
 from pcagmm.errors import EmptyComponent
 from pcagmm.gmm import EmConfig, GmmParams, fit_gmm, gauss_logpdf, gmm_estep, gmm_nll
 from pcagmm.linalg import logdet_spd, random_stiefel
+from pcagmm.palm import SolverConfig
 from pcagmm.pca_gmm import (
     PcaGmmModel,
     fit_pcagmm,
@@ -404,3 +407,55 @@ class TestFit:
         assert trace.mean_norms is not None
         assert trace.mean_norms.shape[1] == 2
         assert trace.mean_norms.shape[0] == trace.objective.size
+
+
+# Both fitters run the same EM loop; each supplies only its initialization,
+# M-step and component reset.
+FITTERS = {
+    "gmm": lambda X, config: fit_gmm(X, 2, config, seed=0),
+    "pcagmm": lambda X, config: fit_pcagmm(
+        X, 2, 2, 0.3, em_config=config, solver_config=SolverConfig(max_iters=5), seed=0
+    ),
+}
+
+
+def two_clusters(seed=21):
+    rng = np.random.default_rng(seed)
+    return np.concatenate(
+        [rng.standard_normal((150, 3)), 4.0 + rng.standard_normal((150, 3))]
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(FITTERS))
+class TestSharedEm:
+    def test_stops_at_max_iters(self, kind):
+        _, trace = FITTERS[kind](two_clusters(), EmConfig(max_iters=4, tol=0.0))
+        assert trace.objective.shape == (5,)
+        assert trace.mean_norms.shape == (5, 2)
+
+    def test_stops_at_first_small_decrease(self, kind):
+        full = FITTERS[kind](two_clusters(), EmConfig(max_iters=6, tol=0.0))[1].objective
+        rel = -np.diff(full) / np.maximum(np.abs(full[:-1]), 1.0)
+        tol = rel[2] * (1.0 + 1e-9)
+        stop = int(np.argmax(rel < tol))
+        _, trace = FITTERS[kind](two_clusters(), EmConfig(max_iters=6, tol=tol))
+        np.testing.assert_array_equal(trace.objective, full[: stop + 2])
+
+    def test_reseeds_starved_component(self, kind, monkeypatch):
+        # component 1 starts far from the data, so it gets no responsibility
+        module, init, field = {
+            "gmm": (gmm_mod, "_init_params", "means"),
+            "pcagmm": (pca_mod, "_init_model", "offsets"),
+        }[kind]
+        original = getattr(module, init)
+
+        def far_component(*args):
+            model = original(*args)
+            getattr(model, field)[1] += 1e3
+            return model
+
+        monkeypatch.setattr(module, init, far_component)
+        model, trace = FITTERS[kind](two_clusters(), EmConfig(max_iters=10))
+        assert trace.n_reseeds == 1
+        assert np.all(np.abs(getattr(model, field)[1]) < 10.0)
+        assert model.alpha.min() > 0.2

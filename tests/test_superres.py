@@ -8,6 +8,7 @@ from pcagmm.metrics import nearest_upsample, psnr
 from pcagmm.patches import PatchGeometry, extract_pairs
 from pcagmm.pca_gmm import PcaGmmModel, lift_component
 from pcagmm.superres import (
+    _selection_scores,
     conditional_covariance,
     mmse_patch,
     precompute_conditionals,
@@ -147,6 +148,19 @@ class TestSelect:
         for _ in range(10):
             assert select_component(blocks, rng.standard_normal(GEOM.n_low)) == 0
 
+    def test_excluded_component_is_never_read(self):
+        rng = np.random.default_rng(21)
+        params = random_gmm(rng, 3, GEOM.n_joint)
+        params.covs[1][GEOM.n_high :, GEOM.n_high :] = -np.eye(GEOM.n_low)
+        with pytest.warns(UserWarning, match="excluding component 1"):
+            blocks = precompute_conditionals(params, GEOM)
+        # the excluded factor and mean are uninitialized; poison them
+        blocks.chol_low[1] = np.nan
+        blocks.mean_low[1] = np.nan
+        scores = _selection_scores(blocks, rng.standard_normal((10, GEOM.n_low)))
+        assert np.all(scores[:, 1] == -np.inf)
+        assert np.all(np.isfinite(scores[:, [0, 2]]))
+
     def test_invariant_to_weight_rescaling(self):
         rng = np.random.default_rng(4)
         params = random_gmm(rng, 3, GEOM.n_joint)
@@ -189,7 +203,6 @@ class TestMmse:
             mean_low=np.zeros((1, 1)),
             gain=np.ones((1, 1, 1)),  # cov [[2, 1], [1, 1]] gives gain 1/1 = 1
             chol_low=np.ones((1, 1, 1)),
-            logdet_low=np.zeros(1),
             valid=np.ones(1, dtype=bool),
         )
         assert mmse_patch(blocks, 0, np.array([1.0]))[0] == pytest.approx(1.0)
