@@ -41,7 +41,8 @@ class LineSearchFailed(PcagmmError):
 
 
 class UncoveredPixel(PcagmmError):
-    """Some output pixel is covered by no patch during aggregation."""
+    """Some output pixel gets zero total weight during aggregation: no patch
+    covers it, or the patch weights underflow to zero on it."""
 
 
 class UnsupportedFormat(PcagmmError):

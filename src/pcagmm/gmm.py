@@ -8,11 +8,10 @@ Gaussian scoring kernel, responsibility computation and the EM loop.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
 from .errors import DegenerateDensity, EmptyComponent, InvalidParameter, InvalidShape
-from .linalg import cholesky_spd, regularize_spd
+from .linalg import cholesky_spd, regularize_spd, solve_triangular
 
 _LOG_2PI = np.log(2.0 * np.pi)
 _EMPTY_REL = 1e-12  # column mass below _EMPTY_REL * N counts as starved
@@ -83,14 +82,16 @@ def gauss_logpdf(x, mu, sigma):
 
 
 def _logpdf_rows(X, mu, L, work=None):
-    """Log densities of the rows of X under N(mu, L L^T). The centered rows
-    are whitened in place, in `work` when it is given (an array shaped like X)."""
-    Y = np.subtract(X, mu, out=work)
-    Z = solve_triangular(L, Y.T, lower=True, overwrite_b=True)
+    """Log densities of the rows of X under N(mu, L L^T). The rows are
+    whitened as X L^{-T} - L^{-1} mu, in `work` when it is given (an array
+    shaped like X), so no N-row temporary is made."""
+    Linv = solve_triangular(L, np.eye(L.shape[0]), lower=True)
+    Z = np.matmul(X, Linv.T, out=work)
+    Z -= Linv @ mu
     return (
         -0.5 * X.shape[1] * _LOG_2PI
         - np.sum(np.log(np.diag(L)))
-        - 0.5 * np.einsum("ij,ij->j", Z, Z)
+        - 0.5 * np.einsum("ij,ij->i", Z, Z)
     )
 
 

@@ -1,11 +1,13 @@
 """Small dense linear-algebra kernels shared by all modules.
 
 Everything here operates on plain float64 ndarrays and is a pure function,
-so any number of workers may call these concurrently.
+so any number of workers may call these concurrently. Every dense solve and
+product runs on numpy's BLAS/LAPACK: scipy ships a second OpenBLAS with its
+own thread pool, and alternating the two pools in the small solves of the
+training loop costs far more than the solves themselves.
 """
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import InvalidShape, NotPositiveDefinite, RankDeficient
 
@@ -65,6 +67,22 @@ def logdet_spd(M):
     """log det M computed as 2 sum(log diag L) from the Cholesky factor."""
     L = cholesky_spd(M)
     return 2.0 * float(np.sum(np.log(np.diag(L))))
+
+
+def solve_triangular(a, b, lower=False):
+    """Solve a x = b for a lower (lower=True) or upper triangular a whose other
+    triangle holds zeros; b is a vector or a matrix of right-hand sides.
+
+    numpy's LAPACK solve factors with partial pivoting. On an upper triangular
+    matrix that factorization is the matrix itself with no row exchange, so
+    the solve is back substitution; a lower system is solved as the upper
+    system of the reversed rows and columns.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if lower:
+        return np.linalg.solve(a[::-1, ::-1], b[::-1])[::-1]
+    return np.linalg.solve(a, b)
 
 
 def solve_spd(M, B):

@@ -18,10 +18,15 @@ is unconstrained.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .errors import LineSearchFailed, NotPositiveDefinite, RankDeficient
-from .linalg import project_stiefel, stiefel_defect, try_cholesky
+from .errors import (
+    InvalidParameter,
+    InvalidShape,
+    LineSearchFailed,
+    NotPositiveDefinite,
+    RankDeficient,
+)
+from .linalg import project_stiefel, solve_triangular, stiefel_defect, try_cholesky
 from .stats import SufficientStats
 
 # An accepted step must decrease G by at least
@@ -49,10 +54,16 @@ class MStepProblem:
     d: int
 
     def __post_init__(self):
-        assert self.sigma > 0.0
-        assert self.stats.weight > 0.0
-        assert self.stats.sum_x.size == self.n
-        assert 1 <= self.d <= self.n
+        if not (self.sigma > 0.0 and self.stats.weight > 0.0):
+            raise InvalidParameter(
+                f"need sigma > 0 and weight > 0, got sigma={self.sigma}, "
+                f"weight={self.stats.weight}"
+            )
+        if not (self.stats.sum_x.size == self.n and 1 <= self.d <= self.n):
+            raise InvalidShape(
+                f"need 1 <= d <= n = {self.stats.sum_x.size}, got n={self.n}, "
+                f"d={self.d}"
+            )
 
 
 @dataclass(frozen=True)
@@ -72,11 +83,14 @@ class SolverConfig:
     extrapolation: str = "dynamic"  # "none" or "dynamic", (r-1)/(r+2)
 
     def __post_init__(self):
-        assert self.max_iters >= 1
-        assert self.tol_step is None or self.tol_step > 0.0
-        assert 0.0 < self.backtrack_factor < 1.0
-        assert self.lipschitz_growth > 1.0
-        assert self.extrapolation in ("none", "dynamic")
+        if not (
+            self.max_iters >= 1
+            and (self.tol_step is None or self.tol_step > 0.0)
+            and 0.0 < self.backtrack_factor < 1.0
+            and self.lipschitz_growth > 1.0
+            and self.extrapolation in ("none", "dynamic")
+        ):
+            raise InvalidParameter(f"invalid solver configuration {self}")
 
 
 def _chol_projected(S, U):

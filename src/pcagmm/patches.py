@@ -191,5 +191,11 @@ def aggregate(values, origins, edge, gamma, out_dims):
         minlength=size,
     )
     if np.any(den == 0.0):
-        raise UncoveredPixel("some output pixel is covered by no patch")
+        if np.any(np.bincount(flat.ravel(), minlength=size) == 0):
+            raise UncoveredPixel("some output pixel is covered by no patch")
+        raise UncoveredPixel(
+            f"every output pixel is covered, but the patch weights of gamma="
+            f"{gamma:g} underflow to 0 on some of them (largest weight "
+            f"{w.max():.3g}); use a smaller gamma"
+        )
     return (num / den).reshape(out_dims)

@@ -156,13 +156,25 @@ def recover_component(stats, basis, offset, weight_floor=1e-12):
     return mean, cov
 
 
+def _nearest_seed(X, seeds):
+    """Index into `seeds` of the seed sample nearest to each row of X; ties
+    go to the lowest index. Seeds are visited one at a time, so no N x K x n
+    distance array is formed."""
+    best = np.full(X.shape[0], np.inf)
+    labels = np.zeros(X.shape[0], dtype=np.intp)
+    for k, s in enumerate(seeds):
+        d2 = np.sum((X - X[s]) ** 2, axis=1)
+        closer = d2 < best
+        best[closer] = d2[closer]
+        labels[closer] = k
+    return labels
+
+
 def _init_model(X, K, d, sigma, rng):
     """Per-cluster PCA initialization: offset at the cluster mean, frame from
     the top eigenvectors of the cluster scatter, zero reduced mean."""
     N, n = X.shape
-    seeds = kmeanspp_indices(X, K, rng)
-    d2 = ((X[:, None, :] - X[seeds][None, :, :]) ** 2).sum(axis=2)
-    labels = np.argmin(d2, axis=1)
+    labels = _nearest_seed(X, kmeanspp_indices(X, K, rng))
 
     bases = np.empty((K, n, d))
     offsets = np.empty((K, n))

@@ -4,6 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidParameter, InvalidShape
+
 
 @dataclass(frozen=True)
 class SufficientStats:
@@ -19,9 +21,16 @@ class SufficientStats:
     sum_outer: np.ndarray
 
     def __post_init__(self):
-        assert self.weight >= 0.0
-        assert self.sum_x.ndim == 1
-        assert self.sum_outer.shape == (self.sum_x.size, self.sum_x.size)
+        if not self.weight >= 0.0:
+            raise InvalidParameter(f"weight must be nonnegative, got {self.weight}")
+        if self.sum_x.ndim != 1 or self.sum_outer.shape != (
+            self.sum_x.size,
+            self.sum_x.size,
+        ):
+            raise InvalidShape(
+                f"inconsistent moment shapes {self.sum_x.shape} and "
+                f"{self.sum_outer.shape}"
+            )
 
     def scatter_about(self, b):
         """Scatter S about b and residual r = sum_x - weight b, both affine

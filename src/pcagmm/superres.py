@@ -5,11 +5,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import InvalidShape, NotPositiveDefinite
 from .gmm import GmmParams, _log_scores
-from .linalg import regularize_spd, solve_spd, try_cholesky
+from .linalg import regularize_spd, solve_spd, solve_triangular, try_cholesky
 from .patches import aggregate, extract_low
 from .pca_gmm import PcaGmmModel, lift_component
 

@@ -116,6 +116,20 @@ class TestTrainSuperresPsnr:
         assert proc.returncode == 3
         assert "simplex" in proc.stderr
 
+    def test_underflowing_gamma_is_numerical_failure(self, scene, capsys):
+        tmp, high = scene
+        low, model = tmp / "low.pgm", tmp / "model.pgmm"
+        run("degrade", "--input", high, "--output", low, "--factor", 2, "--seed", 1)
+        run("train", "--high", high, "--low", low, "--model", model,
+            "--kind", "pcagmm", "--components", 2, "--tau", 3, "--factor", 2,
+            "--reduced-dim", 3, "--em-iters", 3, "--seed", 0)
+        capsys.readouterr()
+        assert run("superres", "--low", low, "--model", model,
+                   "--output", tmp / "o.pgm", "--gamma", "1e3") == 4
+        err = capsys.readouterr().err
+        assert "gamma=1000" in err and "underflow" in err
+        assert "covered by no patch" not in err
+
     def test_corrupt_model_is_data_error(self, scene):
         tmp, high = scene
         bad = tmp / "bad.pgmm"

@@ -1,6 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+import pcagmm
 from pcagmm.errors import InvalidShape, NotPositiveDefinite, RankDeficient
 from pcagmm.linalg import (
     cholesky_spd,
@@ -8,6 +13,7 @@ from pcagmm.linalg import (
     project_stiefel,
     random_stiefel,
     solve_spd,
+    solve_triangular,
     stiefel_defect,
 )
 
@@ -103,6 +109,72 @@ class TestSolve:
         B = rng.standard_normal((7, 3))
         X = solve_spd(M, B)
         assert np.linalg.norm(M @ X - B) <= 1e-9 * np.linalg.norm(B)
+
+
+class TestSolveTriangular:
+    """The numpy-based solve against scipy's triangular solve as reference."""
+
+    @staticmethod
+    def factor(lower, M):
+        L = np.linalg.cholesky(M)
+        return L if lower else L.T
+
+    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize("rhs", [(9,), (9, 4)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_scipy(self, lower, rhs, seed):
+        rng = np.random.default_rng(seed)
+        a = self.factor(lower, random_spd(rng, 9))
+        b = rng.standard_normal(rhs)
+        x = solve_triangular(a, b, lower=lower)
+        ref = scipy.linalg.solve_triangular(a, b, lower=lower)
+        assert x.shape == ref.shape
+        np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize("rhs", [(20,), (20, 5)])
+    def test_factor_of_ill_conditioned_covariance(self, lower, rhs):
+        # covariance with condition number 1e8, so its factor has 1e4; a
+        # backward-stable solve is then accurate to about
+        # cond * n * eps = 1e4 * 20 * 2.2e-16 = 4.4e-11 relative
+        rng = np.random.default_rng(5)
+        Q = project_stiefel(rng.standard_normal((20, 20)))
+        M = (Q * np.logspace(0.0, -8.0, 20)) @ Q.T
+        M = 0.5 * (M + M.T)
+        assert np.linalg.cond(M) == pytest.approx(1e8, rel=0.01)
+        a = self.factor(lower, M)
+        b = rng.standard_normal(rhs)
+        x = solve_triangular(a, b, lower=lower)
+        ref = scipy.linalg.solve_triangular(a, b, lower=lower)
+        assert np.linalg.norm(x - ref) <= 4.4e-11 * np.linalg.norm(ref)
+
+
+def test_no_module_imports_scipy_linalg():
+    # scipy ships its own OpenBLAS with its own thread pool; mixing it with
+    # numpy's in the hot loops makes the two pools compete for the cores
+    offenders = []
+    for path in sorted(Path(pcagmm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "scipy"
+            ):
+                names = [f"scipy.{node.attr}"]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [node.value]  # importlib.import_module("scipy.linalg")
+            else:
+                continue
+            if any(name == "scipy.linalg" or name.startswith("scipy.linalg.")
+                   for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 class TestProjectStiefel:

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pcagmm
 import pcagmm.palm as palm_mod
 from pcagmm.errors import LineSearchFailed, NotPositiveDefinite
 from pcagmm.linalg import logdet_spd, random_stiefel
@@ -291,3 +297,43 @@ class TestIpalm:
             _, _, trace = ipalm_minimize(problem, U0, b0)
             assert trace[-1] <= trace[0]
             assert np.all(np.diff(trace) <= 1e-12)
+
+
+# each bad input and the error it must raise, with python -O as well
+BAD_INPUTS = {
+    "SolverConfig(max_iters=0, extrapolation='bogus')": "InvalidParameter",
+    "MStepProblem(stats=STATS, sigma=0.0, n=2, d=1)": "InvalidParameter",
+    "MStepProblem(stats=STATS, sigma=1.0, n=2, d=3)": "InvalidShape",
+    "SufficientStats(weight=-1.0, sum_x=np.zeros(2), sum_outer=np.eye(2))":
+        "InvalidParameter",
+    "SufficientStats(weight=1.0, sum_x=np.zeros(2), sum_outer=np.eye(3))":
+        "InvalidShape",
+}
+
+
+def test_input_checks_survive_optimize_flag():
+    # python -O strips assert statements; the checks must still raise
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from pcagmm.palm import MStepProblem, SolverConfig\n"
+        "from pcagmm.stats import SufficientStats\n"
+        "STATS = SufficientStats(weight=1.0, sum_x=np.zeros(2), sum_outer=np.eye(2))\n"
+        "for expr in sys.argv[1:]:\n"
+        "    try:\n"
+        "        eval(expr)\n"
+        "        print('accepted')\n"
+        "    except Exception as exc:\n"
+        "        print(type(exc).__name__)\n"
+    )
+    src = str(Path(pcagmm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, *BAD_INPUTS],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == list(BAD_INPUTS.values())

@@ -173,8 +173,19 @@ class TestAggregate:
 
     def test_uncovered_pixel_raises(self):
         values = np.ones((1, 4))
-        with pytest.raises(UncoveredPixel):
+        with pytest.raises(UncoveredPixel, match="covered by no patch"):
             aggregate(values, np.array([[0, 0]]), 2, 0.1, (4, 4))
+
+    def test_underflowed_weights_are_named(self):
+        # at gamma=1e3 the 6x6 weights are 0 except the central 2x2 block, so
+        # the border of a fully covered output gets a zero denominator
+        assert np.count_nonzero(patch_weights(6, 2, 1e3)) == 4
+        origins = np.stack(
+            np.meshgrid(np.arange(3), np.arange(3), indexing="ij"), axis=-1
+        ).reshape(-1, 2)
+        with pytest.raises(UncoveredPixel, match="underflow") as err:
+            aggregate(np.ones((9, 36)), origins, 6, 1e3, (8, 8))
+        assert "covered by no patch" not in str(err.value)
 
     def test_footprint_guard(self):
         values = np.ones((1, 4))

@@ -317,6 +317,19 @@ class TestRecover:
             recover_component(stats, np.eye(3)[:, :1], np.zeros(3))
 
 
+class TestInit:
+    def test_nearest_seed_matches_broadcast_argmin_with_ties(self):
+        # integer coordinates keep every squared distance exact, so points
+        # halfway between two seeds tie exactly; seed 3 repeats seed 1
+        X = np.stack([np.arange(11.0), np.zeros(11)], axis=1)
+        seeds = np.array([2, 6, 8, 6])
+        d2 = ((X[:, None, :] - X[seeds][None, :, :]) ** 2).sum(axis=2)
+        ties = np.sum(d2 == d2.min(axis=1, keepdims=True), axis=1)
+        assert np.any(ties == 3) and np.any(ties == 2)
+        labels = pca_mod._nearest_seed(X, seeds)
+        np.testing.assert_array_equal(labels, np.argmin(d2, axis=1))
+
+
 class TestFit:
     def test_recovers_planar_subspace(self):
         rng = np.random.default_rng(15)
