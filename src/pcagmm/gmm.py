@@ -78,37 +78,44 @@ def gauss_logpdf(x, mu, sigma):
     mu = np.asarray(mu, dtype=float)
     if x.shape != mu.shape or sigma.shape != (x.size, x.size):
         raise InvalidShape("inconsistent density argument shapes")
-    return float(_logpdf_rows(x[None], mu, cholesky_spd(sigma))[0])
+    return float(_logpdf_rows(x[None], *_whitening(cholesky_spd(sigma), mu))[0])
 
 
-def _logpdf_rows(X, mu, L, work=None):
-    """Log densities of the rows of X under N(mu, L L^T). The rows are
-    whitened as X L^{-T} - L^{-1} mu, in `work` when it is given (an array
-    shaped like X), so no N-row temporary is made."""
+def _whitening(L, mu):
+    """Whitening of N(mu, L L^T): (L^{-1}, L^{-1} mu, log normalizer), so that
+    log N(x) = normalizer - ||L^{-1} x - L^{-1} mu||^2 / 2."""
     Linv = solve_triangular(L, np.eye(L.shape[0]), lower=True)
+    return Linv, Linv @ mu, -0.5 * L.shape[0] * _LOG_2PI - np.sum(np.log(np.diag(L)))
+
+
+def _logpdf_rows(X, Linv, shift, log_norm, work=None):
+    """Log densities of the rows of X under the Gaussian whose whitening is
+    (Linv, shift, log_norm). The rows are whitened as X L^{-T} - L^{-1} mu, in
+    `work` when it is given (an array shaped like X), so no N-row temporary is
+    made."""
     Z = np.matmul(X, Linv.T, out=work)
-    Z -= Linv @ mu
-    return (
-        -0.5 * X.shape[1] * _LOG_2PI
-        - np.sum(np.log(np.diag(L)))
-        - 0.5 * np.einsum("ij,ij->i", Z, Z)
-    )
+    Z -= shift
+    return log_norm - 0.5 * np.einsum("ij,ij->i", Z, Z)
 
 
-def _log_scores(X, log_alpha, means, chol, project=None):
-    """N x K matrix of log alpha_k + log N(rows_k; means[k], L_k L_k^T) with
-    L_k = chol(k), where rows_k is X, or project(k) for components that score
-    the samples in their own coordinates.
+def _log_scores(X, log_alpha, whiten, project=None):
+    """N x K matrix of log alpha_k + log N(rows_k; mu_k, L_k L_k^T), where
+    whiten(k) gives component k's whitening (see _whitening) and rows_k is X,
+    or project(k) for components that score the samples in their own
+    coordinates.
 
-    Only one component's factor and rows are alive at a time, and every
+    Only one component's whitening and rows are alive at a time, and every
     component is whitened in one N x m work array. A component whose log
-    weight is -inf scores -inf without reading its rows, mean or factor.
+    weight is -inf scores -inf without calling whiten or project.
     """
     out = np.full((X.shape[0], len(log_alpha)), -np.inf)
-    work = np.empty((X.shape[0], means.shape[1]))
+    work = None
     for k in np.flatnonzero(log_alpha != -np.inf):
         rows = X if project is None else project(k)
-        out[:, k] = log_alpha[k] + _logpdf_rows(rows, means[k], chol(k), work)
+        Linv, shift, log_norm = whiten(k)
+        if work is None:
+            work = np.empty((rows.shape[0], Linv.shape[0]))
+        out[:, k] = log_alpha[k] + _logpdf_rows(rows, Linv, shift, log_norm, work)
     return out
 
 
@@ -119,7 +126,10 @@ def _log_joint(model, X, project=None):
     with np.errstate(divide="ignore"):
         log_alpha = np.log(model.alpha)
     return _log_scores(
-        X, log_alpha, model.means, lambda k: cholesky_spd(model.covs[k]), project
+        X,
+        log_alpha,
+        lambda k: _whitening(cholesky_spd(model.covs[k]), model.means[k]),
+        project,
     )
 
 

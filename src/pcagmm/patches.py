@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidShape, UncoveredPixel
+from .errors import InvalidParameter, InvalidShape, UncoveredPixel
 
 
 @dataclass(frozen=True)
@@ -139,9 +139,30 @@ def extract_low(image, tau, stride=1):
     return PatchSet(data=data, origins=origins, tau=tau, dims=image.ndim)
 
 
+def low_patch_tiles(image, tau, size):
+    """Enumerate the stride-one low-resolution patches of an image in raster
+    order, `size` patches at a time, as low-only patch sets. Only one tile's
+    origins and patches exist at a time."""
+    image = np.asarray(image, dtype=float)
+    if image.ndim not in (2, 3):
+        raise InvalidShape(f"expected a 2D or 3D image, got {image.ndim}D")
+    grid = [len(axis) for axis in _origin_grid(image.shape, tau, 1)]
+    windows = sliding_window_view(image, (tau,) * image.ndim)
+    total = int(np.prod(grid))
+    for start in range(0, total, size):
+        index = np.unravel_index(np.arange(start, min(start + size, total)), grid)
+        data = windows[index].reshape(index[0].size, -1)
+        yield PatchSet(
+            data=data, origins=np.stack(index, axis=1), tau=tau, dims=image.ndim
+        )
+
+
 def patch_weights(edge, dims, gamma):
     """Per-pixel aggregation weights, a Gaussian bump centered on the patch:
-    exp(-gamma/2 * sum_axis (k - (edge-1)/2)^2) with 0-based coordinates."""
+    exp(-gamma/2 * sum_axis (k - (edge-1)/2)^2) with 0-based coordinates.
+    gamma must be finite and nonnegative."""
+    if not (np.isfinite(gamma) and gamma >= 0.0):
+        raise InvalidParameter(f"gamma must be finite and >= 0, got {gamma}")
     axis = np.arange(edge, dtype=float) - (edge - 1) / 2.0
     w = np.exp(-0.5 * gamma * axis**2)
     out = w
@@ -150,52 +171,92 @@ def patch_weights(edge, dims, gamma):
     return out
 
 
+def _spread(grid, taps):
+    """Each sample of grid spread over the len(taps) samples after it along
+    every axis: out[p] = sum over offsets t of prod_a taps[t_a] * grid[p - t]."""
+    for axis in range(grid.ndim):
+        out = np.zeros_like(grid)
+        n = grid.shape[axis]
+        head = (slice(None),) * axis
+        for t, tap in enumerate(taps):
+            out[head + (slice(t, n),)] += tap * grid[head + (slice(0, n - t),)]
+        grid = out
+    return grid
+
+
+class OverlapAdd:
+    """Weighted overlap-add of patches placed at output-grid origins, added
+    one batch at a time.
+
+    `add` accumulates a batch's Gaussian-weighted patch samples and counts its
+    origins, touching only the bounding box of the batch's footprints.
+    `finish` spreads the origin counts into per-pixel weight sums (the weights
+    are separable) and divides once. Every covered output sample becomes the
+    weight-normalized average of all patch samples landing on it; the result
+    does not depend on patch order or batching.
+    """
+
+    def __init__(self, out_dims, edge, gamma):
+        self.out_dims = tuple(int(v) for v in out_dims)
+        self.edge = edge
+        self.gamma = gamma
+        self.weights = patch_weights(edge, len(self.out_dims), gamma).ravel()
+        self.num = np.zeros(self.out_dims)
+        self.count = np.zeros(self.out_dims)  # patches with their origin here
+
+    def add(self, values, origins):
+        """Add N patches, values (N, edge**dims), at origins (N, dims)."""
+        values = np.asarray(values, dtype=float)
+        origins = np.asarray(origins)
+        dims, edge = len(self.out_dims), self.edge
+        N = values.shape[0]
+        if origins.shape != (N, dims):
+            raise InvalidShape(
+                f"expected origins of shape {(N, dims)}, got {origins.shape}"
+            )
+        values = values.reshape(N, self.weights.size)
+        if N == 0:
+            return
+        lo = origins.min(axis=0)
+        hi = origins.max(axis=0) + edge
+        if np.any(lo < 0) or np.any(hi > self.out_dims):
+            raise InvalidShape("patch footprint outside the output image")
+        box = tuple(int(v) for v in hi - lo)
+        size = int(np.prod(box))
+        # flat index in the box of every origin, and of every patch sample
+        # relative to its origin
+        start = np.ravel_multi_index(tuple((origins - lo).T), box)
+        offset = np.ravel_multi_index(np.indices((edge,) * dims).reshape(dims, -1), box)
+        flat = (start[:, None] + offset).ravel()
+        region = tuple(slice(a, b) for a, b in zip(lo, hi))
+        self.num[region] += np.bincount(
+            flat, weights=(values * self.weights).ravel(), minlength=size
+        ).reshape(box)
+        self.count[region] += np.bincount(start, minlength=size).reshape(box)
+
+    def finish(self):
+        """The weight-normalized output; raises UncoveredPixel where the
+        weights sum to 0, naming whether no patch covers the pixel or the
+        weights of this gamma underflow."""
+        den = _spread(self.count, patch_weights(self.edge, 1, self.gamma))
+        if np.any(den == 0.0):
+            if np.any(_spread(self.count, np.ones(self.edge)) == 0.0):
+                raise UncoveredPixel("some output pixel is covered by no patch")
+            raise UncoveredPixel(
+                f"every output pixel is covered, but the patch weights of gamma="
+                f"{self.gamma:g} underflow to 0 on some of them (largest weight "
+                f"{self.weights.max():.3g}); use a smaller gamma"
+            )
+        return np.divide(self.num, den, out=den)
+
+
 def aggregate(values, origins, edge, gamma, out_dims):
-    """Weighted overlap-add of patches placed at output-grid origins.
+    """Weighted overlap-add of patches placed at output-grid origins, all in
+    one batch (see OverlapAdd).
 
     Every covered output sample becomes the weight-normalized average of all
     patch samples landing on it; the result is independent of patch order.
     """
-    values = np.asarray(values, dtype=float)
-    origins = np.asarray(origins)
-    out_dims = tuple(int(v) for v in out_dims)
-    dims = len(out_dims)
-    N = values.shape[0]
-    if origins.shape != (N, dims):
-        raise InvalidShape(f"expected origins of shape {(N, dims)}, got {origins.shape}")
-    values = values.reshape((N,) + (edge,) * dims)
-    for a in range(dims):
-        if origins[:, a].min(initial=0) < 0 or (
-            N and origins[:, a].max() + edge > out_dims[a]
-        ):
-            raise InvalidShape("patch footprint outside the output image")
-
-    w = patch_weights(edge, dims, gamma)
-    offs = [np.arange(edge, dtype=np.intp) for _ in range(dims)]
-    # flat output index of every patch sample
-    flat = np.zeros((N,) + (edge,) * dims, dtype=np.intp)
-    for a in range(dims):
-        shape = [1] * (dims + 1)
-        shape[0] = N
-        coord = origins[:, a].reshape(shape)
-        shape = [1] * (dims + 1)
-        shape[a + 1] = edge
-        coord = coord + offs[a].reshape(shape)
-        flat = flat * out_dims[a] + coord
-    size = int(np.prod(out_dims))
-    weighted = values * w
-    num = np.bincount(flat.ravel(), weights=weighted.ravel(), minlength=size)
-    den = np.bincount(
-        flat.ravel(),
-        weights=np.broadcast_to(w, values.shape).ravel(),
-        minlength=size,
-    )
-    if np.any(den == 0.0):
-        if np.any(np.bincount(flat.ravel(), minlength=size) == 0):
-            raise UncoveredPixel("some output pixel is covered by no patch")
-        raise UncoveredPixel(
-            f"every output pixel is covered, but the patch weights of gamma="
-            f"{gamma:g} underflow to 0 on some of them (largest weight "
-            f"{w.max():.3g}); use a smaller gamma"
-        )
-    return (num / den).reshape(out_dims)
+    acc = OverlapAdd(out_dims, edge, gamma)
+    acc.add(values, origins)
+    return acc.finish()

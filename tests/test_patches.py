@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from pcagmm.errors import InvalidShape, UncoveredPixel
+from pcagmm.errors import InvalidParameter, InvalidShape, UncoveredPixel
 from pcagmm.patches import (
+    OverlapAdd,
     PatchGeometry,
     aggregate,
     extract_low,
     extract_pairs,
+    low_patch_tiles,
     patch_weights,
 )
 
@@ -192,6 +194,25 @@ class TestAggregate:
         with pytest.raises(InvalidShape):
             aggregate(values, np.array([[3, 3]]), 2, 0.1, (4, 4))
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -50.0])
+    def test_gamma_outside_range_is_rejected(self, gamma):
+        with pytest.raises(InvalidParameter, match="gamma"):
+            patch_weights(4, 2, gamma)
+        ps = extract_low(np.random.default_rng(15).random((8, 8)), 4)
+        with pytest.raises(InvalidParameter, match="gamma"):
+            aggregate(ps.data, ps.origins, 4, gamma, (8, 8))
+
+    def test_batches_sum_to_one_shot(self):
+        rng = np.random.default_rng(16)
+        ps = extract_low(rng.random((9, 11, 7)), 3)
+        values = rng.random(ps.data.shape)
+        acc = OverlapAdd((9, 11, 7), 3, 0.4)
+        for rows in (slice(0, 5), slice(5, 5), slice(5, 83), slice(83, None)):
+            acc.add(values[rows], ps.origins[rows])
+        np.testing.assert_allclose(
+            acc.finish(), aggregate(values, ps.origins, 3, 0.4, (9, 11, 7)), atol=1e-14
+        )
+
     def test_weights_match_stated_formula(self):
         gamma, edge = 0.25, 6
         w = patch_weights(edge, 2, gamma)
@@ -201,6 +222,23 @@ class TestAggregate:
                     -gamma / 2 * ((k - (edge + 1) / 2) ** 2 + (l - (edge + 1) / 2) ** 2)
                 )
                 assert w[k - 1, l - 1] == pytest.approx(expected, rel=1e-12)
+
+
+class TestLowTiles:
+    @pytest.mark.parametrize("size", [1, 7, 1000])
+    def test_tiles_concatenate_to_extract_low(self, size):
+        image = np.random.default_rng(17).random((6, 9, 5))
+        full = extract_low(image, 3)
+        tiles = list(low_patch_tiles(image, 3, size))
+        assert all(t.count <= size for t in tiles)
+        np.testing.assert_array_equal(np.concatenate([t.data for t in tiles]), full.data)
+        np.testing.assert_array_equal(
+            np.concatenate([t.origins for t in tiles]), full.origins
+        )
+
+    def test_extent_below_tau(self):
+        with pytest.raises(InvalidShape):
+            next(low_patch_tiles(np.zeros((3, 8)), 4, 10))
 
 
 class TestPerfectReconstruction:

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pcagmm import superres
 from pcagmm.degrade import degrade
+from pcagmm.errors import InvalidParameter
 from pcagmm.gmm import GmmParams
 from pcagmm.linalg import random_stiefel
 from pcagmm.metrics import nearest_upsample, psnr
-from pcagmm.patches import PatchGeometry, extract_pairs
+from pcagmm.patches import PatchGeometry, aggregate, extract_low, extract_pairs
 from pcagmm.pca_gmm import PcaGmmModel, lift_component
 from pcagmm.superres import (
     _selection_scores,
@@ -17,6 +21,7 @@ from pcagmm.superres import (
 )
 
 GEOM = PatchGeometry(tau=2, q=2, dims=2)  # n_high=16, n_low=4, n=20
+GEOM3 = PatchGeometry(tau=2, q=2, dims=3)  # n_high=64, n_low=8, n=72
 
 
 def random_gmm(rng, K, n):
@@ -154,8 +159,10 @@ class TestSelect:
         params.covs[1][GEOM.n_high :, GEOM.n_high :] = -np.eye(GEOM.n_low)
         with pytest.warns(UserWarning, match="excluding component 1"):
             blocks = precompute_conditionals(params, GEOM)
-        # the excluded factor and mean are uninitialized; poison them
-        blocks.chol_low[1] = np.nan
+        # the excluded whitening and mean are uninitialized; poison them
+        blocks.whiten_low[1] = np.nan
+        blocks.shift_low[1] = np.nan
+        blocks.log_norm_low[1] = np.nan
         blocks.mean_low[1] = np.nan
         scores = _selection_scores(blocks, rng.standard_normal((10, GEOM.n_low)))
         assert np.all(scores[:, 1] == -np.inf)
@@ -202,7 +209,9 @@ class TestMmse:
             mean_high=np.zeros((1, 1)),
             mean_low=np.zeros((1, 1)),
             gain=np.ones((1, 1, 1)),  # cov [[2, 1], [1, 1]] gives gain 1/1 = 1
-            chol_low=np.ones((1, 1, 1)),
+            whiten_low=np.ones((1, 1, 1)),
+            shift_low=np.zeros((1, 1)),
+            log_norm_low=np.zeros(1),
             valid=np.ones(1, dtype=bool),
         )
         assert mmse_patch(blocks, 0, np.array([1.0]))[0] == pytest.approx(1.0)
@@ -280,3 +289,76 @@ class TestReconstruct:
         recon = reconstruct(low_test, params, GEOM, gamma=0.1)
         baseline = nearest_upsample(low_test, 2)
         assert psnr(high_test, recon) > psnr(high_test, baseline)
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -50.0])
+    def test_gamma_outside_range_is_rejected(self, gamma):
+        rng = np.random.default_rng(12)
+        with pytest.raises(InvalidParameter, match="gamma"):
+            reconstruct(rng.random((6, 6)), random_gmm(rng, 1, GEOM.n_joint), GEOM, gamma)
+
+
+def reference_reconstruct(low, model, geom, gamma):
+    """Patch by patch: select_component, mmse_patch, then one aggregate."""
+    blocks = precompute_conditionals(model, geom)
+    ps = extract_low(low, geom.tau)
+    ks = [select_component(blocks, x) for x in ps.data]
+    estimates = np.array([mmse_patch(blocks, k, x) for k, x in zip(ks, ps.data)])
+    out_dims = tuple(geom.q * m for m in low.shape)
+    out = aggregate(estimates, geom.q * ps.origins, geom.high_edge, gamma, out_dims)
+    return out, set(ks)
+
+
+def excluding_model(rng):
+    params = random_gmm(rng, 3, GEOM.n_joint)
+    params.covs[1][GEOM.n_high :, GEOM.n_high :] = -np.eye(GEOM.n_low)
+    return params
+
+
+# low extents give a 6 x 8 patch grid in 2D and 3 x 4 x 5 in 3D
+TILED_CASES = {
+    "2d-pcagmm": (GEOM, (7, 9), lambda rng: random_reduced(rng, 3, GEOM.n_joint, 4)),
+    "2d-gmm": (GEOM, (7, 9), lambda rng: random_gmm(rng, 3, GEOM.n_joint)),
+    "2d-excluded": (GEOM, (7, 9), excluding_model),
+    "3d-pcagmm": (GEOM3, (4, 5, 6), lambda rng: random_reduced(rng, 3, GEOM3.n_joint, 5)),
+    "3d-gmm": (GEOM3, (4, 5, 6), lambda rng: random_gmm(rng, 3, GEOM3.n_joint)),
+}
+
+
+class TestTiledReconstruct:
+    @pytest.mark.filterwarnings("ignore:excluding component 1")
+    @pytest.mark.parametrize("case", sorted(TILED_CASES))
+    def test_equals_patchwise_reference(self, case, monkeypatch):
+        geom, extents, make_model = TILED_CASES[case]
+        rng = np.random.default_rng(30)
+        model = make_model(rng)
+        low = 10.0 * rng.standard_normal(extents)  # wide enough to pick several
+        expected, chosen = reference_reconstruct(low, model, geom, 0.3)
+        assert len(chosen) > 1  # the tiles group patches of several components
+        if case == "2d-excluded":
+            assert 1 not in chosen
+        count = int(np.prod([m - geom.tau + 1 for m in extents]))
+        # one patch, a count that divides no grid row, more than every patch
+        for size in (1, 3, count + 1):
+            monkeypatch.setattr(superres, "_TILE_BYTES", size * 8 * geom.n_high)
+            np.testing.assert_allclose(
+                reconstruct(low, model, geom, gamma=0.3), expected, rtol=0, atol=1e-12
+            )
+
+    def test_memory_is_bounded_by_the_tile(self):
+        geom = PatchGeometry(tau=4, q=2, dims=2)
+        rng = np.random.default_rng(31)
+        model = random_gmm(rng, 2, geom.n_joint)
+        ceiling = 20 << 20
+        # below what the estimates of every patch of the larger image need
+        assert ceiling < (256 - geom.tau + 1) ** 2 * geom.n_high * 8
+        for edge in (128, 256):
+            low = rng.random((edge, edge))
+            tracemalloc.start()
+            try:
+                out = reconstruct(low, model, geom)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the input, plus at most five output-sized arrays: the weighted
+            # sums, the origin counts and the weight sums as they are spread
+            assert peak - low.nbytes - 5 * out.nbytes < ceiling, (edge, peak)
