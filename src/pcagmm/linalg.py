@@ -104,7 +104,8 @@ def project_stiefel(A):
     if s[0] == 0.0 or s[-1] < 1e-12 * s[0]:
         raise RankDeficient("matrix does not have full column rank")
     U = P @ Qt
-    assert stiefel_defect(U) <= 1e-10
+    if not stiefel_defect(U) <= 1e-10:
+        raise RankDeficient("polar factor is not orthonormal")
     return U
 
 

@@ -13,6 +13,9 @@ residual as r, the objective reads
 where w is the total responsibility mass. The proximal step on U is the
 projection onto the set of matrices with orthonormal columns; the b block
 is unconstrained.
+
+S is never formed: every term reads the moments through FrameMoments, one
+n x n by n x d product per frame, and b enters through rank-one corrections.
 """
 
 from dataclasses import dataclass
@@ -93,21 +96,61 @@ class SolverConfig:
             raise InvalidParameter(f"invalid solver configuration {self}")
 
 
-def _chol_projected(S, U):
-    T = U.T @ S @ U
+class FrameMoments:
+    """The moments of a problem seen through one frame U.
+
+    Holds S0 U, U^T S0 U and U^T sum_x, where S0 is sum_outer: the one
+    n x n by n x d product a frame costs. The offset b enters every quantity
+    of the objective only through rank-one corrections of these, so no step
+    on b does any n x n work. U need not be orthonormal (the extrapolated
+    frame is not).
+    """
+
+    def __init__(self, stats, U):
+        self.stats = stats
+        self.U = U
+        self.SU = stats.sum_outer @ U
+        self.A = U.T @ self.SU
+        self.p = U.T @ stats.sum_x
+
+    def about(self, b):
+        """(T, v, q): T = U^T S(b) U, v = U^T r(b) and q = U^T b, where S(b)
+        is the scatter about b and r(b) = sum_x - weight b the residual."""
+        w = self.stats.weight
+        q = self.U.T @ b
+        pq = np.outer(self.p, q)
+        T = self.A - pq - pq.T + w * np.outer(q, q)
+        return T, self.p - w * q, q
+
+    def scatter_U(self, b, q):
+        """S(b) U for the q = U^T b returned by about()."""
+        w = self.stats.weight
+        return (
+            self.SU
+            - np.outer(self.stats.sum_x, q)
+            + np.outer(b, w * q - self.p)
+        )
+
+
+def _chol_projected(frame, b):
+    T, v, q = frame.about(b)
     L = try_cholesky(0.5 * (T + T.T))
     if L is None:
         raise NotPositiveDefinite(
             "projected scatter U^T S U is not positive definite"
         )
-    return T, L
+    return T, v, q, L
 
 
-def _eval(problem, S, r, U):
+def _residual(problem, b):
+    return problem.stats.sum_x - problem.stats.weight * b
+
+
+def _eval(problem, frame, b):
     w = problem.stats.weight
     sig2 = problem.sigma**2
-    T, L = _chol_projected(S, U)
-    v = U.T @ r
+    T, v, _, L = _chol_projected(frame, b)
+    r = _residual(problem, b)
     y = solve_triangular(L, v, lower=True)
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     return float(
@@ -115,14 +158,14 @@ def _eval(problem, S, r, U):
     )
 
 
-def _grad_U(problem, S, r, U):
+def _grad_U(problem, frame, b):
     w = problem.stats.weight
     sig2 = problem.sigma**2
-    T, L = _chol_projected(S, U)
-    v = U.T @ r
+    _, v, q, L = _chol_projected(frame, b)
+    r = _residual(problem, b)
     z = solve_triangular(L, v, lower=True)
     t = solve_triangular(L.T, z, lower=False)  # t = T^{-1} U^T r
-    SU = S @ U
+    SU = frame.scatter_U(b, q)
     # SU T^{-1} through the factor, one triangular solve pair per column
     SUTinv = solve_triangular(
         L.T, solve_triangular(L, SU.T, lower=True), lower=False
@@ -135,11 +178,11 @@ def _grad_U(problem, S, r, U):
     )
 
 
-def _grad_b(problem, S, r, U):
-    w = problem.stats.weight
+def _grad_b(problem, frame, b):
     sig2 = problem.sigma**2
-    T, L = _chol_projected(S, U)
-    v = U.T @ r
+    _, v, _, L = _chol_projected(frame, b)
+    r = _residual(problem, b)
+    U = frame.U
     z = solve_triangular(L, v, lower=True)
     t = solve_triangular(L.T, z, lower=False)
     # perpendicular residual pull plus the in-subspace log-volume trade-off
@@ -148,8 +191,7 @@ def _grad_b(problem, S, r, U):
 
 def eval_G(problem, U, b):
     """Value of the M-step objective at (U, b)."""
-    S, r = problem.stats.scatter_about(b)
-    return _eval(problem, S, r, U)
+    return _eval(problem, FrameMoments(problem.stats, U), b)
 
 
 def grad_G_U(problem, U, b):
@@ -157,8 +199,7 @@ def grad_G_U(problem, U, b):
 
     Matches central finite differences of eval_G in the ambient space.
     """
-    S, r = problem.stats.scatter_about(b)
-    return _grad_U(problem, S, r, U)
+    return _grad_U(problem, FrameMoments(problem.stats, U), b)
 
 
 def grad_G_b(problem, U, b):
@@ -167,8 +208,7 @@ def grad_G_b(problem, U, b):
     Note the component along span(U) is a nonlinear function of b; only the
     part in ker(U^T) is affine in b.
     """
-    S, r = problem.stats.scatter_about(b)
-    return _grad_b(problem, S, r, U)
+    return _grad_b(problem, FrameMoments(problem.stats, U), b)
 
 
 def _perturb_tangent(U, rng, scale=1e-6):
@@ -177,23 +217,32 @@ def _perturb_tangent(U, rng, scale=1e-6):
     return project_stiefel(U + scale * noise)
 
 
-def _leading_eigenvalue(S):
-    v = np.full(S.shape[0], S.shape[0] ** -0.5)
+def _leading_eigenvalue(stats, b):
+    # power iteration on the scatter about b, applied as sum_outer v minus
+    # its rank-one corrections
+    def scatter(v):
+        return (
+            stats.sum_outer @ v
+            - stats.sum_x * (b @ v)
+            + b * (stats.weight * (b @ v) - stats.sum_x @ v)
+        )
+
+    v = np.full(b.size, b.size**-0.5)
     for _ in range(8):
-        w = S @ v
+        w = scatter(v)
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
         v = w / norm
-    return float(v @ S @ v)
+    return float(v @ scatter(v))
 
 
-def _initial_tau(problem, S):
+def _initial_tau(problem, b):
     # curvature scales of the dominant quadratic terms; backtracking corrects
     # underestimates, the relaxation factor corrects overestimates
     sig2 = problem.sigma**2
     w = problem.stats.weight
-    tau_u = max(1.0, 2.0 * _leading_eigenvalue(S) / sig2)
+    tau_u = max(1.0, 2.0 * _leading_eigenvalue(problem.stats, b) / sig2)
     tau_b = max(1.0, 4.0 * w / sig2)
     return tau_u, tau_b
 
@@ -229,37 +278,38 @@ def _minimize(problem, U0, b0, config, inertial):
         tol = 1e-7 * np.sqrt(problem.n * problem.d + problem.n)
     growth = config.lipschitz_growth
 
-    S, r = problem.stats.scatter_about(b)
+    frame = FrameMoments(problem.stats, U)
     try:
-        G = _eval(problem, S, r, U)
+        G = _eval(problem, frame, b)
     except NotPositiveDefinite:
         # degenerate projected scatter at the start; nudge off the bad frame
-        U = _perturb_tangent(U, np.random.default_rng(0))
-        G = _eval(problem, S, r, U)
+        frame = FrameMoments(
+            problem.stats, _perturb_tangent(U, np.random.default_rng(0))
+        )
+        G = _eval(problem, frame, b)
 
-    tau_u, tau_b = _initial_tau(problem, S)
+    tau_u, tau_b = _initial_tau(problem, b)
     trace = [G]
-    U_prev, b_prev = U, b
+    U_prev, b_prev = frame.U, b
 
     for it in range(1, config.max_iters + 1):
         gamma = (it - 1.0) / (it + 2.0) if inertial else 0.0
 
         # U block
-        new_U, new_G, step_u, tau_u = _u_step(
-            problem, S, r, U, U_prev, b, G, gamma, tau_u, growth
+        new_frame, new_G, step_u, tau_u = _u_step(
+            problem, frame, U_prev, b, G, gamma, tau_u, growth
         )
-        U_prev = U
-        if new_U is not None:
-            U, G = new_U, new_G
+        U_prev = frame.U
+        if new_frame is not None:
+            frame, G = new_frame, new_G
 
         # b block (gradient taken at the updated U)
         new_b, new_G, step_b, tau_b = _b_step(
-            problem, U, b, b_prev, G, gamma, tau_b, growth
+            problem, frame, b, b_prev, G, gamma, tau_b, growth
         )
         b_prev = b
         if new_b is not None:
             b, G = new_b, new_G
-            S, r = problem.stats.scatter_about(b)
 
         trace.append(G)
         if np.hypot(step_u, step_b) < tol:
@@ -267,39 +317,44 @@ def _minimize(problem, U0, b0, config, inertial):
         tau_u *= config.backtrack_factor
         tau_b *= config.backtrack_factor
 
-    assert stiefel_defect(U) <= 1e-10
-    return U, b, np.asarray(trace)
+    if not stiefel_defect(frame.U) <= 1e-10:
+        raise RankDeficient("solver frame lost orthonormality")
+    return frame.U, b, np.asarray(trace)
 
 
-def _u_step(problem, S, r, U, U_prev, b, G, gamma, tau, growth):
+def _u_step(problem, frame, U_prev, b, G, gamma, tau, growth):
+    """One frame step; returns the accepted candidate's FrameMoments (None if
+    the frame stays), so the next gradient reuses its product."""
+    U = frame.U
     if gamma > 0.0:
         Uy = U + gamma * (U - U_prev)
         try:
-            g = _grad_U(problem, S, r, Uy)
-            cand = project_stiefel(Uy - g / tau)
-            cand_G = _eval(problem, S, r, cand)
+            g = _grad_U(problem, FrameMoments(problem.stats, Uy), b)
+            cand = FrameMoments(problem.stats, project_stiefel(Uy - g / tau))
+            cand_G = _eval(problem, cand, b)
             if cand_G <= G:
-                return cand, cand_G, float(np.linalg.norm(cand - U)), tau
+                return cand, cand_G, float(np.linalg.norm(cand.U - U)), tau
         except (NotPositiveDefinite, RankDeficient):
             pass  # fall through to the monotone step
 
-    g = _grad_U(problem, S, r, U)
+    g = _grad_U(problem, frame, b)
     tau_in = tau
     for _ in range(MAX_BACKTRACKS):
         try:
-            cand = project_stiefel(U - g / tau)
+            cand_U = project_stiefel(U - g / tau)
         except RankDeficient:
             tau *= growth
             continue
-        step2 = float(np.sum((cand - U) ** 2))
+        step2 = float(np.sum((cand_U - U) ** 2))
         required = tau * (1.0 - 1.0 / BACKTRACK_MARGIN) / 2.0 * step2
         if step2 <= _STEP_DEADBAND**2 or required <= _NOISE_FLOOR * (1.0 + abs(G)):
             # numerically stationary: no validated descent is available, so
             # stay put and do not let the escalated curvature estimate leak
             # into later iterations
             return None, G, 0.0, tau_in
+        cand = FrameMoments(problem.stats, cand_U)
         try:
-            cand_G = _eval(problem, S, r, cand)
+            cand_G = _eval(problem, cand, b)
         except NotPositiveDefinite:
             tau *= growth
             continue
@@ -309,22 +364,18 @@ def _u_step(problem, S, r, U, U_prev, b, G, gamma, tau, growth):
     raise LineSearchFailed(f"no acceptable frame step after {MAX_BACKTRACKS} tries")
 
 
-def _b_step(problem, U, b, b_prev, G, gamma, tau, growth):
+def _b_step(problem, frame, b, b_prev, G, gamma, tau, growth):
     if gamma > 0.0:
         by = b + gamma * (b - b_prev)
-        Sy, ry = problem.stats.scatter_about(by)
         try:
-            g = _grad_b(problem, Sy, ry, U)
-            cand = by - g / tau
-            Sc, rc = problem.stats.scatter_about(cand)
-            cand_G = _eval(problem, Sc, rc, U)
+            cand = by - _grad_b(problem, frame, by) / tau
+            cand_G = _eval(problem, frame, cand)
             if cand_G <= G:
                 return cand, cand_G, float(np.linalg.norm(cand - b)), tau
         except NotPositiveDefinite:
             pass
 
-    S, r = problem.stats.scatter_about(b)
-    g = _grad_b(problem, S, r, U)
+    g = _grad_b(problem, frame, b)
     tau_in = tau
     for _ in range(MAX_BACKTRACKS):
         cand = b - g / tau
@@ -332,9 +383,8 @@ def _b_step(problem, U, b, b_prev, G, gamma, tau, growth):
         required = tau * (1.0 - 1.0 / BACKTRACK_MARGIN) / 2.0 * step2
         if step2 <= _STEP_DEADBAND**2 or required <= _NOISE_FLOOR * (1.0 + abs(G)):
             return None, G, 0.0, tau_in
-        Sc, rc = problem.stats.scatter_about(cand)
         try:
-            cand_G = _eval(problem, Sc, rc, U)
+            cand_G = _eval(problem, frame, cand)
         except NotPositiveDefinite:
             tau *= growth
             continue

@@ -25,7 +25,13 @@ from .linalg import regularize_spd, stiefel_defect
 
 # palm_minimize is re-exported next to ipalm_minimize, where the benchmark's
 # tracer looks both solvers up.
-from .palm import MStepProblem, SolverConfig, ipalm_minimize, palm_minimize
+from .palm import (
+    FrameMoments,
+    MStepProblem,
+    SolverConfig,
+    ipalm_minimize,
+    palm_minimize,
+)
 from .stats import SufficientStats, accumulate_stats
 
 
@@ -150,9 +156,9 @@ def recover_component(stats, basis, offset, weight_floor=1e-12):
     if stats.weight < weight_floor:
         raise EmptyComponent()
     w = stats.weight
-    scatter, resid = stats.scatter_about(offset)
-    mean = basis.T @ resid / w
-    cov = regularize_spd(basis.T @ scatter @ basis / w)
+    projected, resid, _ = FrameMoments(stats, basis).about(offset)
+    mean = resid / w
+    cov = regularize_spd(projected / w)
     return mean, cov
 
 
@@ -172,7 +178,12 @@ def _nearest_seed(X, seeds):
 
 def _init_model(X, K, d, sigma, rng):
     """Per-cluster PCA initialization: offset at the cluster mean, frame from
-    the top eigenvectors of the cluster scatter, zero reduced mean."""
+    the top eigenvectors of the cluster scatter, zero reduced mean.
+
+    The eigenvectors are the right singular vectors of the centred cluster,
+    from its thin SVD (O(m^2 n) for m points), so no n x n scatter is formed.
+    A cluster of m < d points takes the full SVD, whose extra rows complete
+    the frame to d orthonormal columns."""
     N, n = X.shape
     labels = _nearest_seed(X, kmeanspp_indices(X, K, rng))
 
@@ -183,13 +194,13 @@ def _init_model(X, K, d, sigma, rng):
         pts = X[labels == k]
         if pts.shape[0] < 2:
             pts = X
+        m = pts.shape[0]
         center = pts.mean(axis=0)
-        Y = pts - center
-        cov_full = Y.T @ Y / pts.shape[0]
-        evals, evecs = np.linalg.eigh(cov_full)
-        top = evals[::-1][:d]
-        floor = 1e-6 * max(top[0], 0.0) + 1e-12
-        bases[k] = evecs[:, ::-1][:, :d]
+        _, s, Vt = np.linalg.svd(pts - center, full_matrices=m < d)
+        top = np.zeros(d)
+        top[: min(s.size, d)] = s[:d] ** 2 / m
+        floor = 1e-6 * top[0] + 1e-12
+        bases[k] = Vt[:d].T
         offsets[k] = center
         covs[k] = np.diag(np.maximum(top, floor))
     return PcaGmmModel(
@@ -209,10 +220,10 @@ def _floored_stats(stats):
     every projected scatter factorable without visibly moving the optimum."""
     n = stats.sum_x.size
     eps = 1e-10 * (float(np.trace(stats.sum_outer)) / n + 1e-12)
+    sum_outer = stats.sum_outer.copy()
+    sum_outer.flat[:: n + 1] += eps
     return SufficientStats(
-        weight=stats.weight,
-        sum_x=stats.sum_x,
-        sum_outer=stats.sum_outer + eps * np.eye(n),
+        weight=stats.weight, sum_x=stats.sum_x, sum_outer=sum_outer
     )
 
 

@@ -32,27 +32,17 @@ class SufficientStats:
                 f"{self.sum_outer.shape}"
             )
 
-    def scatter_about(self, b):
-        """Scatter S about b and residual r = sum_x - weight b, both affine
-        images of the stored moments."""
-        r = self.sum_x - self.weight * b
-        S = (
-            self.sum_outer
-            - np.outer(self.sum_x, b)
-            - np.outer(b, self.sum_x)
-            + self.weight * np.outer(b, b)
-        )
-        return S, r
-
 
 def accumulate_stats(X, beta, k):
     """Accumulate SufficientStats for component k from samples X and
     responsibilities beta (rows sum to one)."""
     X = np.asarray(X, dtype=float)
     w = np.asarray(beta, dtype=float)[:, k]
-    outer = (X.T * w) @ X
+    # Y^T Y of one operand runs as a symmetric rank-k update: half the flops
+    # of a general product, and the result is exactly symmetric
+    Y = np.sqrt(w)[:, None] * X
     return SufficientStats(
         weight=float(w.sum()),
         sum_x=w @ X,
-        sum_outer=0.5 * (outer + outer.T),
+        sum_outer=Y.T @ Y,
     )

@@ -187,6 +187,58 @@ class TestGradients:
         assert np.linalg.norm(perp) <= 1e-9
 
 
+def dense_reference(problem, U, b):
+    """G, dG/dU and dG/db with the scatter about b formed as an n x n matrix
+    and T = U^T S U inverted outright."""
+    stats = problem.stats
+    w, sig2 = stats.weight, problem.sigma**2
+    S = (
+        stats.sum_outer
+        - np.outer(stats.sum_x, b)
+        - np.outer(b, stats.sum_x)
+        + w * np.outer(b, b)
+    )
+    r = stats.sum_x - w * b
+    T = U.T @ S @ U
+    T_inv = np.linalg.inv(T)
+    v = U.T @ r
+    t = T_inv @ v
+    G = -(np.trace(T) - r @ r / w) / sig2 - v @ t + w * np.linalg.slogdet(T)[1]
+    SU = S @ U
+    gU = (
+        -(2.0 / sig2) * SU
+        - 2.0 * np.outer(r, t)
+        + 2.0 * SU @ np.outer(t, t)
+        + 2.0 * w * SU @ T_inv
+    )
+    gb = -(2.0 / sig2) * (r - U @ v) - 2.0 * (v @ t) * (U @ t)
+    return G, gU, gb
+
+
+class TestFrameMoments:
+    @pytest.mark.parametrize("n", [6, 40])
+    @pytest.mark.parametrize("distance", [1e-2, 1.0, 30.0])
+    def test_matches_dense_scatter(self, n, distance):
+        # b near and far from the weighted mean: far away, the rank-one
+        # corrections dwarf sum_outer
+        rng = np.random.default_rng(n)
+        problem, _, _ = make_problem(rng, n, 3, n_samples=5 * n)
+        U = random_stiefel(n, 3, seed=1)
+        center = problem.stats.sum_x / problem.stats.weight
+        b = center + distance * rng.standard_normal(n)
+        G, gU, gb = dense_reference(problem, U, b)
+        assert eval_G(problem, U, b) == pytest.approx(G, rel=1e-12)
+        for got, want in ((grad_G_U(problem, U, b), gU), (grad_G_b(problem, U, b), gb)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_sum_outer_is_exactly_symmetric(self):
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((300, 40))
+        beta = rng.uniform(0.0, 1.0, (300, 2))
+        stats = accumulate_stats(X, beta, 1)
+        assert stats.sum_outer.tobytes() == stats.sum_outer.T.copy().tobytes()
+
+
 class TestPalm:
     def test_stationary_start_terminates_immediately(self):
         problem = closed_form_problem()
@@ -258,7 +310,9 @@ class TestPalm:
     def test_line_search_failure_on_bogus_gradient(self, monkeypatch):
         problem = closed_form_problem()
         monkeypatch.setattr(
-            palm_mod, "_grad_U", lambda problem, S, r, U: np.full_like(U, 1e180)
+            palm_mod,
+            "_grad_U",
+            lambda problem, frame, b: np.full_like(frame.U, 1e180),
         )
         with pytest.raises(LineSearchFailed):
             palm_minimize(problem, angle_problem(1.0), np.zeros(2))
@@ -309,6 +363,49 @@ BAD_INPUTS = {
     "SufficientStats(weight=1.0, sum_x=np.zeros(2), sum_outer=np.eye(3))":
         "InvalidShape",
 }
+
+
+# each Stiefel postcondition, made to fail by a defect function that always
+# reports 1 in the named module, and the error it must raise under python -O
+BROKEN_FRAMES = {
+    "broken(linalg).project_stiefel(np.eye(3)[:, :2])": "RankDeficient",
+    "broken(palm).palm_minimize(PROBLEM, np.eye(2)[:, :1], np.zeros(2))":
+        "RankDeficient",
+}
+
+
+def test_stiefel_checks_survive_optimize_flag():
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from pcagmm import linalg, palm\n"
+        "from pcagmm.stats import SufficientStats\n"
+        "STATS = SufficientStats(weight=1.0, sum_x=np.zeros(2), "
+        "sum_outer=np.diag([4.0, 1.0]))\n"
+        "PROBLEM = palm.MStepProblem(stats=STATS, sigma=1.0, n=2, d=1)\n"
+        "DEFECT = linalg.stiefel_defect\n"
+        "def broken(module):\n"
+        "    module.stiefel_defect = lambda U: 1.0\n"
+        "    return module\n"
+        "for expr in sys.argv[1:]:\n"
+        "    try:\n"
+        "        eval(expr)\n"
+        "        print('accepted')\n"
+        "    except Exception as exc:\n"
+        "        print(type(exc).__name__)\n"
+        "    linalg.stiefel_defect = palm.stiefel_defect = DEFECT\n"
+    )
+    src = str(Path(pcagmm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, *BROKEN_FRAMES],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == list(BROKEN_FRAMES.values())
 
 
 def test_input_checks_survive_optimize_flag():

@@ -5,7 +5,7 @@ import pcagmm.gmm as gmm_mod
 import pcagmm.pca_gmm as pca_mod
 from pcagmm.errors import EmptyComponent
 from pcagmm.gmm import EmConfig, GmmParams, fit_gmm, gauss_logpdf, gmm_estep, gmm_nll
-from pcagmm.linalg import logdet_spd, random_stiefel
+from pcagmm.linalg import logdet_spd, random_stiefel, stiefel_defect
 from pcagmm.palm import SolverConfig
 from pcagmm.pca_gmm import (
     PcaGmmModel,
@@ -328,6 +328,53 @@ class TestInit:
         assert np.any(ties == 3) and np.any(ties == 2)
         labels = pca_mod._nearest_seed(X, seeds)
         np.testing.assert_array_equal(labels, np.argmin(d2, axis=1))
+
+
+    @pytest.mark.parametrize(
+        "case", ["m<d", "m=d", "m=d+1", "m>n", "repeated rows"]
+    )
+    def test_frame_spans_top_eigenvectors(self, case):
+        # one cluster of m points; the frame must be orthonormal even where
+        # the centred cluster has rank below d, and span the top eigenvectors
+        # of the cluster scatter wherever the eigengap defines them
+        n, d = 12, 5
+        m = {"m<d": 3, "m=d": 5, "m=d+1": 6, "m>n": 40, "repeated rows": 30}[case]
+        rng = np.random.default_rng(m)
+        X = rng.standard_normal((m, n)) @ np.diag(np.linspace(3.0, 0.5, n))
+        if case == "repeated rows":
+            X[1:] = X[1]
+        model = pca_mod._init_model(X, 1, d, 0.1, np.random.default_rng(0))
+        U = model.bases[0]
+        assert stiefel_defect(U) <= 1e-10
+        np.testing.assert_allclose(model.offsets[0], X.mean(axis=0), atol=1e-12)
+        Y = X - X.mean(axis=0)
+        evals, evecs = np.linalg.eigh(Y.T @ Y / m)
+        evals, evecs = evals[::-1], evecs[:, ::-1]
+        floor = 1e-6 * evals[0] + 1e-12
+        np.testing.assert_allclose(
+            np.diag(model.covs[0]),
+            np.maximum(evals[:d], floor),
+            rtol=1e-10,
+            atol=1e-12 * evals[0],
+        )
+        gaps = evals[:d] - evals[1 : d + 1]
+        top = max(r + 1 for r in range(d) if gaps[r] > 1e-6 * evals[0])
+        P_init = U[:, :top] @ U[:, :top].T
+        P_eigh = evecs[:, :top] @ evecs[:, :top].T
+        assert np.linalg.norm(P_init - P_eigh) <= 1e-8
+        assert top == min(d, np.linalg.matrix_rank(Y))
+
+
+class TestFlooredStats:
+    def test_jitter_on_the_diagonal_copy_is_bitwise_the_identity_sum(self):
+        rng = np.random.default_rng(16)
+        X = rng.standard_normal((50, 7))
+        stats = accumulate_stats(X, rng.uniform(0.1, 1.0, (50, 1)), 0)
+        before = stats.sum_outer.copy()
+        floored = pca_mod._floored_stats(stats)
+        eps = 1e-10 * (float(np.trace(before)) / 7 + 1e-12)
+        assert floored.sum_outer.tobytes() == (before + eps * np.eye(7)).tobytes()
+        assert stats.sum_outer.tobytes() == before.tobytes()
 
 
 class TestFit:
