@@ -33,8 +33,7 @@ _DATA_ERRORS = (
     CorruptHeader,
     VersionMismatch,
     InvalidShape,
-    FileNotFoundError,
-    IsADirectoryError,
+    OSError,
 )
 _NUMERIC_ERRORS = (
     NotPositiveDefinite,

@@ -198,6 +198,8 @@ def load_model(path):
         raise CorruptHeader("malformed model header line") from exc
     if kind not in ("gmm", "pcagmm"):
         raise CorruptHeader(f"unknown model kind {kind!r}")
+    if min(K, n, d) < 1:
+        raise CorruptHeader(f"model header extents K={K} n={n} d={d} are below 1")
     payload = np.frombuffer(raw[newline + 1 :], dtype="<f8")
     per_comp = (n * d + n + d + d * d) if kind == "pcagmm" else (n + n * n)
     if payload.size != K + K * per_comp:

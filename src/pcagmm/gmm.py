@@ -42,15 +42,18 @@ class GmmParams:
         K, n = self.n_components, self.dim
         if self.means.shape != (K, n) or self.covs.shape != (K, n, n):
             raise InvalidShape("inconsistent parameter shapes")
-        check_mixture(self.alpha, self.covs)
+        check_mixture(self.alpha, self.covs, self.means)
         return self
 
 
-def check_mixture(alpha, covs):
+def check_mixture(alpha, covs, *finite):
     """Raise InvalidParameter unless the mixture weights are nonnegative and
-    sum to one, and NotPositiveDefinite unless every covariance factors."""
+    sum to one and every parameter in `finite` is finite, and
+    NotPositiveDefinite unless every covariance factors."""
     if not (np.all(alpha >= 0.0) and abs(alpha.sum() - 1.0) <= 1e-12):
         raise InvalidParameter("mixture weights are not on the probability simplex")
+    if not all(np.all(np.isfinite(x)) for x in finite):
+        raise InvalidParameter("mixture parameters are not finite")
     for cov in covs:
         cholesky_spd(cov)
 

@@ -16,9 +16,12 @@ is unconstrained.
 
 S is never formed: every term reads the moments through FrameMoments, one
 n x n by n x d product per frame, and b enters through rank-one corrections.
+G and both gradients at one (U, b) share one Cholesky factor of U^T S U, and
+both blocks take the same backtracked proximal-gradient step.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +40,16 @@ from .stats import SufficientStats
 BACKTRACK_MARGIN = 1.1
 MAX_BACKTRACKS = 60
 
+# A rejected candidate multiplies its block's curvature estimate tau by
+# LIPSCHITZ_GROWTH; between outer iterations BACKTRACK_FACTOR relaxes the
+# accepted estimates so step sizes can grow again.
+LIPSCHITZ_GROWTH = 2.0
+BACKTRACK_FACTOR = 0.9
+
+# The solve stops once an outer iteration moves (U, b) by less than
+# TOL_STEP * sqrt(n*d + n).
+TOL_STEP = 1e-7
+
 # Steps below this scale are numerical noise from the projection; they are
 # treated as no movement so stationary starts terminate cleanly.
 _STEP_DEADBAND = 1e-14
@@ -53,8 +66,6 @@ class MStepProblem:
 
     stats: SufficientStats
     sigma: float
-    n: int
-    d: int
 
     def __post_init__(self):
         if not (self.sigma > 0.0 and self.stats.weight > 0.0):
@@ -62,37 +73,17 @@ class MStepProblem:
                 f"need sigma > 0 and weight > 0, got sigma={self.sigma}, "
                 f"weight={self.stats.weight}"
             )
-        if not (self.stats.sum_x.size == self.n and 1 <= self.d <= self.n):
-            raise InvalidShape(
-                f"need 1 <= d <= n = {self.stats.sum_x.size}, got n={self.n}, "
-                f"d={self.d}"
-            )
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step-size, extrapolation and stopping parameters.
-
-    tol_step=None resolves to 1e-7 * sqrt(n*d + n) for the problem at hand.
-    backtrack_factor relaxes the accepted curvature estimates between outer
-    iterations so step sizes can grow again; lipschitz_growth inflates them
-    when the sufficient-decrease test rejects a step.
-    """
+    """Iteration budget and extrapolation of the solver."""
 
     max_iters: int = 100
-    tol_step: float | None = None
-    backtrack_factor: float = 0.9
-    lipschitz_growth: float = 2.0
     extrapolation: str = "dynamic"  # "none" or "dynamic", (r-1)/(r+2)
 
     def __post_init__(self):
-        if not (
-            self.max_iters >= 1
-            and (self.tol_step is None or self.tol_step > 0.0)
-            and 0.0 < self.backtrack_factor < 1.0
-            and self.lipschitz_growth > 1.0
-            and self.extrapolation in ("none", "dynamic")
-        ):
+        if not (self.max_iters >= 1 and self.extrapolation in ("none", "dynamic")):
             raise InvalidParameter(f"invalid solver configuration {self}")
 
 
@@ -132,66 +123,71 @@ class FrameMoments:
         )
 
 
-def _chol_projected(frame, b):
-    T, v, q = frame.about(b)
-    L = try_cholesky(0.5 * (T + T.T))
-    if L is None:
-        raise NotPositiveDefinite(
-            "projected scatter U^T S U is not positive definite"
+class _Point:
+    """The objective at one (frame, b), from one Cholesky factor of
+    T = U^T S(b) U.
+
+    Construction factors T and evaluates G; both gradients read the same
+    factor, and t = T^{-1} U^T r is solved once, on first use.
+    """
+
+    def __init__(self, problem, frame, b):
+        self.problem, self.frame, self.b = problem, frame, b
+        w = problem.stats.weight
+        T, v, q = frame.about(b)
+        L = try_cholesky(0.5 * (T + T.T))
+        if L is None:
+            raise NotPositiveDefinite(
+                "projected scatter U^T S U is not positive definite"
+            )
+        r = problem.stats.sum_x - w * b
+        z = solve_triangular(L, v, lower=True)
+        logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+        self.G = float(
+            -(np.trace(T) - r @ r / w) / problem.sigma**2 - z @ z + w * logdet
         )
-    return T, v, q, L
+        self.L, self.r, self.v, self.q, self.z = L, r, v, q, z
+
+    @cached_property
+    def t(self):
+        """T^{-1} U^T r."""
+        return solve_triangular(self.L.T, self.z, lower=False)
+
+    def at_U(self, U):
+        return _point(self.problem, U, self.b)
+
+    def at_b(self, b):
+        return _Point(self.problem, self.frame, b)
+
+    def grad_U(self):
+        w, sig2 = self.problem.stats.weight, self.problem.sigma**2
+        L, r, t = self.L, self.r, self.t
+        SU = self.frame.scatter_U(self.b, self.q)
+        # SU T^{-1} through the factor, one triangular solve pair per column
+        SUTinv = solve_triangular(
+            L.T, solve_triangular(L, SU.T, lower=True), lower=False
+        ).T
+        return (
+            -(2.0 / sig2) * SU
+            - 2.0 * np.outer(r, t)
+            + 2.0 * SU @ np.outer(t, t)
+            + 2.0 * w * SUTinv
+        )
+
+    def grad_b(self):
+        sig2 = self.problem.sigma**2
+        U, r, v, z = self.frame.U, self.r, self.v, self.z
+        # perpendicular residual pull plus the in-subspace log-volume trade-off
+        return -(2.0 / sig2) * (r - U @ v) - 2.0 * float(z @ z) * (U @ self.t)
 
 
-def _residual(problem, b):
-    return problem.stats.sum_x - problem.stats.weight * b
-
-
-def _eval(problem, frame, b):
-    w = problem.stats.weight
-    sig2 = problem.sigma**2
-    T, v, _, L = _chol_projected(frame, b)
-    r = _residual(problem, b)
-    y = solve_triangular(L, v, lower=True)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return float(
-        -(np.trace(T) - r @ r / w) / sig2 - y @ y + w * logdet
-    )
-
-
-def _grad_U(problem, frame, b):
-    w = problem.stats.weight
-    sig2 = problem.sigma**2
-    _, v, q, L = _chol_projected(frame, b)
-    r = _residual(problem, b)
-    z = solve_triangular(L, v, lower=True)
-    t = solve_triangular(L.T, z, lower=False)  # t = T^{-1} U^T r
-    SU = frame.scatter_U(b, q)
-    # SU T^{-1} through the factor, one triangular solve pair per column
-    SUTinv = solve_triangular(
-        L.T, solve_triangular(L, SU.T, lower=True), lower=False
-    ).T
-    return (
-        -(2.0 / sig2) * SU
-        - 2.0 * np.outer(r, t)
-        + 2.0 * SU @ np.outer(t, t)
-        + 2.0 * w * SUTinv
-    )
-
-
-def _grad_b(problem, frame, b):
-    sig2 = problem.sigma**2
-    _, v, _, L = _chol_projected(frame, b)
-    r = _residual(problem, b)
-    U = frame.U
-    z = solve_triangular(L, v, lower=True)
-    t = solve_triangular(L.T, z, lower=False)
-    # perpendicular residual pull plus the in-subspace log-volume trade-off
-    return -(2.0 / sig2) * (r - U @ v) - 2.0 * float(z @ z) * (U @ t)
+def _point(problem, U, b):
+    return _Point(problem, FrameMoments(problem.stats, U), b)
 
 
 def eval_G(problem, U, b):
     """Value of the M-step objective at (U, b)."""
-    return _eval(problem, FrameMoments(problem.stats, U), b)
+    return _point(problem, U, b).G
 
 
 def grad_G_U(problem, U, b):
@@ -199,7 +195,7 @@ def grad_G_U(problem, U, b):
 
     Matches central finite differences of eval_G in the ambient space.
     """
-    return _grad_U(problem, FrameMoments(problem.stats, U), b)
+    return _point(problem, U, b).grad_U()
 
 
 def grad_G_b(problem, U, b):
@@ -208,7 +204,7 @@ def grad_G_b(problem, U, b):
     Note the component along span(U) is a nonlinear function of b; only the
     part in ker(U^T) is affine in b.
     """
-    return _grad_b(problem, FrameMoments(problem.stats, U), b)
+    return _point(problem, U, b).grad_b()
 
 
 def _perturb_tangent(U, rng, scale=1e-6):
@@ -273,122 +269,93 @@ def ipalm_minimize(problem, U0, b0, config=None):
 def _minimize(problem, U0, b0, config, inertial):
     U = np.array(U0, dtype=float)
     b = np.array(b0, dtype=float)
-    tol = config.tol_step
-    if tol is None:
-        tol = 1e-7 * np.sqrt(problem.n * problem.d + problem.n)
-    growth = config.lipschitz_growth
+    n = problem.stats.sum_x.size
+    if not (
+        U.ndim == 2 and U.shape[0] == n and 1 <= U.shape[1] <= n and b.shape == (n,)
+    ):
+        raise InvalidShape(
+            f"need a frame of shape (n, d) with 1 <= d <= n = {n} and an offset "
+            f"of shape (n,), got {U.shape} and {b.shape}"
+        )
+    tol = TOL_STEP * np.sqrt(n * U.shape[1] + n)
 
-    frame = FrameMoments(problem.stats, U)
     try:
-        G = _eval(problem, frame, b)
+        point = _point(problem, U, b)
     except NotPositiveDefinite:
         # degenerate projected scatter at the start; nudge off the bad frame
-        frame = FrameMoments(
-            problem.stats, _perturb_tangent(U, np.random.default_rng(0))
-        )
-        G = _eval(problem, frame, b)
+        point = _point(problem, _perturb_tangent(U, np.random.default_rng(0)), b)
 
     tau_u, tau_b = _initial_tau(problem, b)
-    trace = [G]
-    U_prev, b_prev = frame.U, b
+    trace = [point.G]
+    U_prev, b_prev = point.frame.U, b
 
     for it in range(1, config.max_iters + 1):
         gamma = (it - 1.0) / (it + 2.0) if inertial else 0.0
-
-        # U block
-        new_frame, new_G, step_u, tau_u = _u_step(
-            problem, frame, U_prev, b, G, gamma, tau_u, growth
+        U, b = point.frame.U, point.b
+        point, step_u, tau_u = _block_step(
+            point, U, U_prev, gamma, tau_u, point.at_U, _Point.grad_U, project_stiefel
         )
-        U_prev = frame.U
-        if new_frame is not None:
-            frame, G = new_frame, new_G
-
-        # b block (gradient taken at the updated U)
-        new_b, new_G, step_b, tau_b = _b_step(
-            problem, frame, b, b_prev, G, gamma, tau_b, growth
+        # the b block takes its gradient at the updated frame
+        point, step_b, tau_b = _block_step(
+            point, b, b_prev, gamma, tau_b, point.at_b, _Point.grad_b, _identity
         )
-        b_prev = b
-        if new_b is not None:
-            b, G = new_b, new_G
+        U_prev, b_prev = U, b
 
-        trace.append(G)
+        trace.append(point.G)
         if np.hypot(step_u, step_b) < tol:
             break
-        tau_u *= config.backtrack_factor
-        tau_b *= config.backtrack_factor
+        tau_u *= BACKTRACK_FACTOR
+        tau_b *= BACKTRACK_FACTOR
 
-    if not stiefel_defect(frame.U) <= 1e-10:
+    if not stiefel_defect(point.frame.U) <= 1e-10:
         raise RankDeficient("solver frame lost orthonormality")
-    return frame.U, b, np.asarray(trace)
+    return point.frame.U, point.b, np.asarray(trace)
 
 
-def _u_step(problem, frame, U_prev, b, G, gamma, tau, growth):
-    """One frame step; returns the accepted candidate's FrameMoments (None if
-    the frame stays), so the next gradient reuses its product."""
-    U = frame.U
+def _identity(x):
+    return x
+
+
+def _block_step(point, x, x_prev, gamma, tau, at, grad, prox):
+    """One proximal-gradient step on the block of `point` whose value is x.
+
+    at(x) is the point with this block at x, grad(point) the block gradient
+    and prox the proximal map of the block's constraint. With gamma > 0 the
+    step is first taken from the extrapolated x + gamma (x - x_prev) and kept
+    if it does not increase G; otherwise it backtracks from x, growing tau on
+    every rejected candidate. Returns (point, step length, tau); the accepted
+    candidate is the returned point, so the next gradient reuses its factor.
+    """
     if gamma > 0.0:
-        Uy = U + gamma * (U - U_prev)
         try:
-            g = _grad_U(problem, FrameMoments(problem.stats, Uy), b)
-            cand = FrameMoments(problem.stats, project_stiefel(Uy - g / tau))
-            cand_G = _eval(problem, cand, b)
-            if cand_G <= G:
-                return cand, cand_G, float(np.linalg.norm(cand.U - U)), tau
+            y = x + gamma * (x - x_prev)
+            cand_x = prox(y - grad(at(y)) / tau)
+            cand = at(cand_x)
+            if cand.G <= point.G:
+                return cand, float(np.linalg.norm(cand_x - x)), tau
         except (NotPositiveDefinite, RankDeficient):
             pass  # fall through to the monotone step
 
-    g = _grad_U(problem, frame, b)
+    g = grad(point)
     tau_in = tau
     for _ in range(MAX_BACKTRACKS):
+        # a candidate that cannot be projected or factored is rejected like
+        # one that fails the sufficient-decrease test
         try:
-            cand_U = project_stiefel(U - g / tau)
-        except RankDeficient:
-            tau *= growth
-            continue
-        step2 = float(np.sum((cand_U - U) ** 2))
-        required = tau * (1.0 - 1.0 / BACKTRACK_MARGIN) / 2.0 * step2
-        if step2 <= _STEP_DEADBAND**2 or required <= _NOISE_FLOOR * (1.0 + abs(G)):
-            # numerically stationary: no validated descent is available, so
-            # stay put and do not let the escalated curvature estimate leak
-            # into later iterations
-            return None, G, 0.0, tau_in
-        cand = FrameMoments(problem.stats, cand_U)
-        try:
-            cand_G = _eval(problem, cand, b)
-        except NotPositiveDefinite:
-            tau *= growth
-            continue
-        if G - cand_G >= required:
-            return cand, cand_G, np.sqrt(step2), tau
-        tau *= growth
-    raise LineSearchFailed(f"no acceptable frame step after {MAX_BACKTRACKS} tries")
-
-
-def _b_step(problem, frame, b, b_prev, G, gamma, tau, growth):
-    if gamma > 0.0:
-        by = b + gamma * (b - b_prev)
-        try:
-            cand = by - _grad_b(problem, frame, by) / tau
-            cand_G = _eval(problem, frame, cand)
-            if cand_G <= G:
-                return cand, cand_G, float(np.linalg.norm(cand - b)), tau
-        except NotPositiveDefinite:
+            cand_x = prox(x - g / tau)
+            step2 = float(np.sum((cand_x - x) ** 2))
+            required = tau * (1.0 - 1.0 / BACKTRACK_MARGIN) / 2.0 * step2
+            if step2 <= _STEP_DEADBAND**2 or required <= _NOISE_FLOOR * (
+                1.0 + abs(point.G)
+            ):
+                # numerically stationary: no validated descent is available,
+                # so stay put and do not let the escalated curvature estimate
+                # leak into later iterations
+                return point, 0.0, tau_in
+            cand = at(cand_x)
+            if point.G - cand.G >= required:
+                return cand, np.sqrt(step2), tau
+        except (NotPositiveDefinite, RankDeficient):
             pass
-
-    g = _grad_b(problem, frame, b)
-    tau_in = tau
-    for _ in range(MAX_BACKTRACKS):
-        cand = b - g / tau
-        step2 = float(np.sum((cand - b) ** 2))
-        required = tau * (1.0 - 1.0 / BACKTRACK_MARGIN) / 2.0 * step2
-        if step2 <= _STEP_DEADBAND**2 or required <= _NOISE_FLOOR * (1.0 + abs(G)):
-            return None, G, 0.0, tau_in
-        try:
-            cand_G = _eval(problem, frame, cand)
-        except NotPositiveDefinite:
-            tau *= growth
-            continue
-        if G - cand_G >= required:
-            return cand, cand_G, np.sqrt(step2), tau
-        tau *= growth
-    raise LineSearchFailed(f"no acceptable offset step after {MAX_BACKTRACKS} tries")
+        tau *= LIPSCHITZ_GROWTH
+    raise LineSearchFailed(f"no acceptable block step after {MAX_BACKTRACKS} tries")

@@ -51,26 +51,14 @@ class PatchSet:
 
     data    : (N, n) patch vectors
     origins : (N, dims) low-resolution grid coordinates
-    tau     : low-resolution patch edge
-    dims    : 2 or 3
-    q       : magnification factor for joint sets, None for low-only sets
     """
 
     data: np.ndarray
     origins: np.ndarray
-    tau: int
-    dims: int
-    q: int | None = None
 
     @property
     def count(self):
         return self.data.shape[0]
-
-    @property
-    def geometry(self):
-        if self.q is None:
-            raise InvalidShape("low-only patch set has no joint geometry")
-        return PatchGeometry(tau=self.tau, q=self.q, dims=self.dims)
 
 
 def _origin_grid(extents, tau, stride, force_last=False):
@@ -119,9 +107,7 @@ def extract_pairs(high, low, geom, stride=1, max_patches=None, seed=None):
         origins.shape[0], -1
     )
     data = np.concatenate([high_patches, low_patches], axis=1)
-    return PatchSet(
-        data=data, origins=origins, tau=geom.tau, dims=geom.dims, q=geom.q
-    )
+    return PatchSet(data=data, origins=origins)
 
 
 def extract_low(image, tau, stride=1):
@@ -136,7 +122,7 @@ def extract_low(image, tau, stride=1):
     origins = np.stack([m.ravel() for m in mesh], axis=1)
     windows = sliding_window_view(image, (tau,) * image.ndim)
     data = windows[tuple(origins.T)].reshape(origins.shape[0], -1)
-    return PatchSet(data=data, origins=origins, tau=tau, dims=image.ndim)
+    return PatchSet(data=data, origins=origins)
 
 
 def low_patch_tiles(image, tau, size):
@@ -152,9 +138,7 @@ def low_patch_tiles(image, tau, size):
     for start in range(0, total, size):
         index = np.unravel_index(np.arange(start, min(start + size, total)), grid)
         data = windows[index].reshape(index[0].size, -1)
-        yield PatchSet(
-            data=data, origins=np.stack(index, axis=1), tau=tau, dims=image.ndim
-        )
+        yield PatchSet(data=data, origins=np.stack(index, axis=1))
 
 
 def patch_weights(edge, dims, gamma):

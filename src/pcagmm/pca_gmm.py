@@ -78,7 +78,7 @@ class PcaGmmModel:
             raise InvalidShape("inconsistent parameter shapes")
         if not self.sigma > 0.0:
             raise InvalidParameter(f"sigma must be positive, got {self.sigma}")
-        check_mixture(self.alpha, self.covs)
+        check_mixture(self.alpha, self.covs, self.means, self.offsets, self.sigma)
         for k in range(K):
             if not stiefel_defect(self.bases[k]) <= 1e-10:
                 raise InvalidParameter(f"frame {k} is not orthonormal")
@@ -248,7 +248,7 @@ def fit_pcagmm(X, K, d, sigma, em_config=None, solver_config=None, seed=0):
         model.alpha = beta.sum(axis=0) / N
         for k in range(K):
             stats = _floored_stats(accumulate_stats(X, beta, k))
-            problem = MStepProblem(stats=stats, sigma=model.sigma, n=n, d=d)
+            problem = MStepProblem(stats=stats, sigma=model.sigma)
             U, b, _ = ipalm_minimize(
                 problem, model.bases[k], model.offsets[k], solver_config
             )

@@ -93,7 +93,7 @@ def test_criterion_2_gradient_suite():
         X = rng.standard_normal((30, n)) @ np.diag(rng.uniform(0.5, 2.0, n))
         w = rng.uniform(0.05, 1.0, 30)
         stats = accumulate_stats(X, w[:, None], 0)
-        problem = MStepProblem(stats=stats, sigma=float(rng.uniform(0.1, 1.0)), n=n, d=d)
+        problem = MStepProblem(stats=stats, sigma=float(rng.uniform(0.1, 1.0)))
         U = random_stiefel(n, d, seed=int(rng.integers(1 << 30)))
         b = rng.standard_normal(n)
         h = 1e-6
@@ -135,7 +135,7 @@ def test_criterion_3_descent_suites():
         X = rng.standard_normal((40, n)) @ np.diag(rng.uniform(0.5, 2.0, n))
         w = rng.uniform(0.05, 1.0, 40)
         stats = accumulate_stats(X, w[:, None], 0)
-        problem = MStepProblem(stats=stats, sigma=float(rng.uniform(0.1, 0.8)), n=n, d=d)
+        problem = MStepProblem(stats=stats, sigma=float(rng.uniform(0.1, 0.8)))
         U0 = random_stiefel(n, d, seed=int(rng.integers(1 << 30)))
         b0 = rng.standard_normal(n)
         _, _, trace = palm_minimize(problem, U0, b0, SolverConfig(max_iters=60))
@@ -203,7 +203,7 @@ def test_criterion_4_oracle_equivalences():
     Xp = rng.standard_normal((300, 8))
     Xp[:, :2] *= 5.0
     stats = accumulate_stats(Xp, np.ones((300, 1)), 0)
-    problem = MStepProblem(stats=stats, sigma=1e-3, n=8, d=2)
+    problem = MStepProblem(stats=stats, sigma=1e-3)
     center = stats.sum_x / stats.weight
     U, _, _ = palm_minimize(problem, random_stiefel(8, 2, seed=0), center.copy())
     scatter = (Xp - center).T @ (Xp - center)
@@ -213,7 +213,7 @@ def test_criterion_4_oracle_equivalences():
 
     # (c) the closed-form two-pixel problem
     stats2 = SufficientStats(weight=1.0, sum_x=np.zeros(2), sum_outer=np.diag([4.0, 1.0]))
-    problem2 = MStepProblem(stats=stats2, sigma=1.0, n=2, d=1)
+    problem2 = MStepProblem(stats=stats2, sigma=1.0)
     U0 = np.array([[np.cos(1.2)], [np.sin(1.2)]])
     _, _, trace = palm_minimize(problem2, U0, np.zeros(2))
     gap = float(trace[-1] - (-4.0 + np.log(4.0)))

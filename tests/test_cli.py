@@ -8,7 +8,7 @@ import pytest
 
 import pcagmm
 from pcagmm.cli import main
-from pcagmm.formats import read_image, save_model, write_image
+from pcagmm.formats import load_model, read_image, save_model, write_image
 from pcagmm.gmm import GmmParams
 
 
@@ -26,6 +26,20 @@ def scene(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_process(*argv):
+    """The command in a fresh interpreter, so that an uncaught exception shows
+    as a traceback and exit code 1."""
+    src = str(Path(pcagmm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "pcagmm.cli", *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
 
 
 class TestDegradeCommand:
@@ -138,6 +152,45 @@ class TestTrainSuperresPsnr:
         run("degrade", "--input", high, "--output", low, "--factor", 2, "--seed", 1)
         assert run("superres", "--low", low, "--model", bad,
                    "--output", tmp / "o.pgm") == 3
+
+    @pytest.mark.parametrize("command", ["psnr", "degrade"])
+    def test_path_through_a_file_is_data_error(self, scene, command):
+        # NotADirectoryError: a plain file used as a directory
+        tmp, high = scene
+        plain = tmp / "plain.txt"
+        plain.write_text("not a directory\n")
+        argv = {
+            "psnr": ["psnr", "--ref", plain / "a.pgm", "--test", high],
+            "degrade": ["degrade", "--input", high, "--output", plain / "a.pgm",
+                        "--factor", 2],
+        }[command]
+        proc = run_process(*argv)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_header_extents_below_one_are_data_error(self, tmp_path):
+        model = tmp_path / "m.pgmm"
+        model.write_bytes(
+            b"PGMM1\nkind=pcagmm K=-1 n=-1 d=0 sigma=0.1 q=0 tau=0 dims=0\n"
+        )
+        proc = run_process("inspect", "--model", model)
+        assert proc.returncode == 3, proc.stderr
+        assert "below 1" in proc.stderr
+
+    def test_non_finite_model_is_data_error(self, scene, capsys):
+        tmp, high = scene
+        low, model = tmp / "low.pgm", tmp / "model.pgmm"
+        run("degrade", "--input", high, "--output", low, "--factor", 2, "--seed", 1)
+        run("train", "--high", high, "--low", low, "--model", model,
+            "--kind", "pcagmm", "--components", 2, "--tau", 3, "--factor", 2,
+            "--reduced-dim", 3, "--em-iters", 3, "--seed", 0)
+        fitted, geom = load_model(model)
+        fitted.means[0, 0] = np.nan
+        save_model(model, fitted, geom)
+        capsys.readouterr()
+        assert run("superres", "--low", low, "--model", model,
+                   "--output", tmp / "o.pgm") == 3
+        assert "not finite" in capsys.readouterr().err
 
     def test_psnr_shape_mismatch_is_data_error(self, scene):
         tmp, high = scene

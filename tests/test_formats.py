@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from pcagmm.errors import CorruptHeader, UnsupportedFormat, VersionMismatch
+from pcagmm.errors import (
+    CorruptHeader,
+    InvalidParameter,
+    UnsupportedFormat,
+    VersionMismatch,
+)
 from pcagmm.formats import load_model, read_image, save_model, write_image
 from pcagmm.gmm import GmmParams
 from pcagmm.linalg import random_stiefel
@@ -169,6 +174,41 @@ class TestModelFile:
         path = tmp_path / "m.pgmm"
         save_model(path, model)
         with pytest.raises(CorruptHeader, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("pcagmm", "means", np.nan),
+            ("pcagmm", "offsets", np.inf),
+            ("pcagmm", "sigma", np.inf),
+            ("gmm", "means", np.nan),
+        ],
+    )
+    def test_non_finite_parameters_are_rejected(self, tmp_path, kind, field, value):
+        rng = np.random.default_rng(8)
+        if kind == "pcagmm":
+            model = random_pcagmm(rng, 2, 5, 2)
+        else:
+            model = random_gmm(rng, 2, 5)
+        if field == "sigma":
+            model.sigma = value
+        else:
+            getattr(model, field)[1, 0] = value
+        with pytest.raises(InvalidParameter, match="finite"):
+            model.validate()
+        path = tmp_path / "m.pgmm"
+        save_model(path, model)
+        with pytest.raises(CorruptHeader, match="finite"):
+            load_model(path)
+
+    def test_header_extents_below_one(self, tmp_path):
+        # K + K * per_comp is 0 here, so the empty payload fits the header
+        path = tmp_path / "m.pgmm"
+        path.write_bytes(
+            b"PGMM1\nkind=pcagmm K=-1 n=-1 d=0 sigma=0.1 q=0 tau=0 dims=0\n"
+        )
+        with pytest.raises(CorruptHeader, match="below 1"):
             load_model(path)
 
     def test_header_is_one_readable_line(self, tmp_path):

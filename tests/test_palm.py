@@ -8,7 +8,7 @@ import pytest
 
 import pcagmm
 import pcagmm.palm as palm_mod
-from pcagmm.errors import LineSearchFailed, NotPositiveDefinite
+from pcagmm.errors import InvalidShape, LineSearchFailed, NotPositiveDefinite
 from pcagmm.linalg import logdet_spd, random_stiefel
 from pcagmm.palm import (
     MStepProblem,
@@ -25,19 +25,19 @@ from pcagmm.stats import SufficientStats, accumulate_stats
 def problem_from_samples(X, weights, sigma):
     beta = np.asarray(weights, dtype=float)[:, None]
     stats = accumulate_stats(X, beta, 0)
-    return MStepProblem(stats=stats, sigma=sigma, n=X.shape[1], d=0 or 1), stats
+    return MStepProblem(stats=stats, sigma=sigma), stats
 
 
-def make_problem(rng, n, d, n_samples=40, sigma=0.3):
+def make_problem(rng, n, n_samples=40, sigma=0.3):
     X = rng.standard_normal((n_samples, n)) @ np.diag(rng.uniform(0.5, 2.0, n))
     w = rng.uniform(0.05, 1.0, n_samples)
     stats = accumulate_stats(X, w[:, None], 0)
-    return MStepProblem(stats=stats, sigma=sigma, n=n, d=d), X, w
+    return MStepProblem(stats=stats, sigma=sigma), X, w
 
 
-def raw_problem(sum_x, sum_outer, weight, sigma, d):
+def raw_problem(sum_x, sum_outer, weight, sigma):
     stats = SufficientStats(weight=weight, sum_x=sum_x, sum_outer=sum_outer)
-    return MStepProblem(stats=stats, sigma=sigma, n=sum_x.size, d=d)
+    return MStepProblem(stats=stats, sigma=sigma)
 
 
 def angle_problem(theta):
@@ -48,7 +48,7 @@ CLOSED_FORM_MIN = -4.0 + np.log(4.0)
 
 
 def closed_form_problem():
-    return raw_problem(np.zeros(2), np.diag([4.0, 1.0]), 1.0, 1.0, d=1)
+    return raw_problem(np.zeros(2), np.diag([4.0, 1.0]), 1.0, 1.0)
 
 
 def fd_grad_U(problem, U, b, h=1e-6):
@@ -73,7 +73,7 @@ def fd_grad_b(problem, U, b, h=1e-6):
 class TestEval:
     def test_identity_scatter(self):
         for d in (1, 2, 3):
-            problem = raw_problem(np.zeros(4), np.eye(4), 1.0, 1.0, d=d)
+            problem = raw_problem(np.zeros(4), np.eye(4), 1.0, 1.0)
             U = random_stiefel(4, d, seed=d)
             b = np.zeros(4)
             assert eval_G(problem, U, b) == pytest.approx(-d, abs=1e-12)
@@ -88,7 +88,7 @@ class TestEval:
         # plus the log-volume of the recovered covariance, straight from the
         # raw samples; must differ from eval_G by a (U, b)-independent shift
         rng = np.random.default_rng(0)
-        problem, X, w = make_problem(rng, 7, 3)
+        problem, X, w = make_problem(rng, 7)
         sig2 = problem.sigma**2
 
         def raw_route(U, b):
@@ -118,7 +118,7 @@ class TestEval:
 
     def test_degenerate_projected_scatter_raises(self):
         v = np.array([1.0, 0.0, 0.0])
-        problem = raw_problem(np.zeros(3), np.outer(v, v), 1.0, 1.0, d=2)
+        problem = raw_problem(np.zeros(3), np.outer(v, v), 1.0, 1.0)
         U = np.eye(3)[:, :2]
         with pytest.raises(NotPositiveDefinite):
             eval_G(problem, U, np.zeros(3))
@@ -128,7 +128,7 @@ class TestGradients:
     def test_isotropic_stationarity(self):
         # zero residual and identity scatter: the gradient has no component
         # leaving the span of the frame
-        problem = raw_problem(np.zeros(6), np.eye(6), 1.0, 1.0, d=2)
+        problem = raw_problem(np.zeros(6), np.eye(6), 1.0, 1.0)
         U = random_stiefel(6, 2, seed=9)
         g = grad_G_U(problem, U, np.zeros(6))
         assert np.linalg.norm(g - U @ (U.T @ g)) < 1e-8
@@ -149,7 +149,7 @@ class TestGradients:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 12))
         d = int(rng.integers(1, min(5, n) + 1))
-        problem, _, _ = make_problem(rng, n, d)
+        problem, _, _ = make_problem(rng, n)
         U = random_stiefel(n, d, seed=seed)
         b = rng.standard_normal(n)
         gU = grad_G_U(problem, U, b)
@@ -163,7 +163,7 @@ class TestGradients:
         # with b at the weighted mean the residual vanishes, so the component
         # of the gradient leaving span(U) is zero
         rng = np.random.default_rng(4)
-        problem, X, w = make_problem(rng, 5, 2)
+        problem, X, w = make_problem(rng, 5)
         b = problem.stats.sum_x / problem.stats.weight
         U = random_stiefel(5, 2, seed=5)
         g = grad_G_b(problem, U, b)
@@ -175,7 +175,7 @@ class TestGradients:
         # ker(U^T) is, and that is the part the descent step needs off the
         # subspace
         rng = np.random.default_rng(6)
-        problem, _, _ = make_problem(rng, 6, 2)
+        problem, _, _ = make_problem(rng, 6)
         U = random_stiefel(6, 2, seed=6)
         b1, b2 = rng.standard_normal(6), rng.standard_normal(6)
         combo = (
@@ -222,7 +222,7 @@ class TestFrameMoments:
         # b near and far from the weighted mean: far away, the rank-one
         # corrections dwarf sum_outer
         rng = np.random.default_rng(n)
-        problem, _, _ = make_problem(rng, n, 3, n_samples=5 * n)
+        problem, _, _ = make_problem(rng, n, n_samples=5 * n)
         U = random_stiefel(n, 3, seed=1)
         center = problem.stats.sum_x / problem.stats.weight
         b = center + distance * rng.standard_normal(n)
@@ -256,7 +256,7 @@ class TestPalm:
     def test_trace_monotone_and_frame_feasible(self):
         rng = np.random.default_rng(2)
         for seed in range(6):
-            problem, _, _ = make_problem(rng, 6, 2)
+            problem, _, _ = make_problem(rng, 6)
             U0 = random_stiefel(6, 2, seed=seed)
             b0 = rng.standard_normal(6)
             U, b, trace = palm_minimize(problem, U0, b0)
@@ -265,7 +265,7 @@ class TestPalm:
 
     def test_beats_random_search(self):
         rng = np.random.default_rng(8)
-        problem, X, w = make_problem(rng, 6, 2)
+        problem, X, w = make_problem(rng, 6)
         U0 = random_stiefel(6, 2, seed=1)
         center = problem.stats.sum_x / problem.stats.weight
         _, _, trace = palm_minimize(problem, U0, center.copy())
@@ -288,7 +288,7 @@ class TestPalm:
         X[:, :2] *= 5.0
         w = np.ones(200)
         stats = accumulate_stats(X, w[:, None], 0)
-        problem = MStepProblem(stats=stats, sigma=1e-3, n=8, d=2)
+        problem = MStepProblem(stats=stats, sigma=1e-3)
         center = stats.sum_x / stats.weight
         U, _, _ = palm_minimize(problem, random_stiefel(8, 2, seed=0), center.copy())
         scatter = (X - center).T @ (X - center)
@@ -299,7 +299,7 @@ class TestPalm:
 
     def test_right_rotation_invariance(self):
         rng = np.random.default_rng(12)
-        problem, _, _ = make_problem(rng, 6, 3)
+        problem, _, _ = make_problem(rng, 6)
         U = random_stiefel(6, 3, seed=2)
         R = random_stiefel(3, 3, seed=3)
         b = rng.standard_normal(6)
@@ -310,18 +310,53 @@ class TestPalm:
     def test_line_search_failure_on_bogus_gradient(self, monkeypatch):
         problem = closed_form_problem()
         monkeypatch.setattr(
-            palm_mod,
-            "_grad_U",
-            lambda problem, frame, b: np.full_like(frame.U, 1e180),
+            palm_mod._Point,
+            "grad_U",
+            lambda point: np.full_like(point.frame.U, 1e180),
         )
         with pytest.raises(LineSearchFailed):
             palm_minimize(problem, angle_problem(1.0), np.zeros(2))
+
+    def test_factors_each_point_once(self, monkeypatch):
+        # G and both gradients at one (U, b) share one Cholesky factor, so no
+        # matrix reaches try_cholesky twice in a solve
+        factored = []
+
+        def counting(M):
+            factored.append(M.tobytes())
+            return try_cholesky(M)
+
+        try_cholesky = palm_mod.try_cholesky
+        monkeypatch.setattr(palm_mod, "try_cholesky", counting)
+        rng = np.random.default_rng(14)
+        for seed in range(6):
+            problem, _, _ = make_problem(rng, 8)
+            factored.clear()
+            _, _, trace = palm_minimize(
+                problem, random_stiefel(8, 3, seed=seed), rng.standard_normal(8)
+            )
+            assert trace.size > 2
+            assert len(factored) == len(set(factored))
+
+    @pytest.mark.parametrize(
+        "U0, b0",
+        [
+            (np.eye(3)[:, :1], np.zeros(2)),  # frame rows do not fit n = 2
+            (np.ones((2, 3)), np.zeros(2)),  # wider than n
+            (np.ones((2, 0)), np.zeros(2)),  # no columns
+            (np.eye(2)[:, :1], np.zeros(3)),  # offset length does not fit
+        ],
+    )
+    @pytest.mark.parametrize("minimize", [palm_minimize, ipalm_minimize])
+    def test_start_must_fit_statistics(self, minimize, U0, b0):
+        with pytest.raises(InvalidShape):
+            minimize(closed_form_problem(), U0, b0)
 
 
 class TestIpalm:
     def test_none_extrapolation_is_bitwise_palm(self):
         rng = np.random.default_rng(3)
-        problem, _, _ = make_problem(rng, 6, 2)
+        problem, _, _ = make_problem(rng, 6)
         U0 = random_stiefel(6, 2, seed=4)
         b0 = rng.standard_normal(6)
         cfg = SolverConfig(extrapolation="none")
@@ -345,7 +380,7 @@ class TestIpalm:
     def test_descent_over_seeds(self):
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            problem, _, _ = make_problem(rng, 5, 2)
+            problem, _, _ = make_problem(rng, 5)
             U0 = random_stiefel(5, 2, seed=seed)
             b0 = rng.standard_normal(5)
             _, _, trace = ipalm_minimize(problem, U0, b0)
@@ -356,8 +391,9 @@ class TestIpalm:
 # each bad input and the error it must raise, with python -O as well
 BAD_INPUTS = {
     "SolverConfig(max_iters=0, extrapolation='bogus')": "InvalidParameter",
-    "MStepProblem(stats=STATS, sigma=0.0, n=2, d=1)": "InvalidParameter",
-    "MStepProblem(stats=STATS, sigma=1.0, n=2, d=3)": "InvalidShape",
+    "MStepProblem(stats=STATS, sigma=0.0)": "InvalidParameter",
+    "palm_minimize(MStepProblem(stats=STATS, sigma=1.0), np.zeros((2, 3)), "
+    "np.zeros(2))": "InvalidShape",
     "SufficientStats(weight=-1.0, sum_x=np.zeros(2), sum_outer=np.eye(2))":
         "InvalidParameter",
     "SufficientStats(weight=1.0, sum_x=np.zeros(2), sum_outer=np.eye(3))":
@@ -382,7 +418,7 @@ def test_stiefel_checks_survive_optimize_flag():
         "from pcagmm.stats import SufficientStats\n"
         "STATS = SufficientStats(weight=1.0, sum_x=np.zeros(2), "
         "sum_outer=np.diag([4.0, 1.0]))\n"
-        "PROBLEM = palm.MStepProblem(stats=STATS, sigma=1.0, n=2, d=1)\n"
+        "PROBLEM = palm.MStepProblem(stats=STATS, sigma=1.0)\n"
         "DEFECT = linalg.stiefel_defect\n"
         "def broken(module):\n"
         "    module.stiefel_defect = lambda U: 1.0\n"
@@ -413,7 +449,7 @@ def test_input_checks_survive_optimize_flag():
     script = (
         "import sys\n"
         "import numpy as np\n"
-        "from pcagmm.palm import MStepProblem, SolverConfig\n"
+        "from pcagmm.palm import MStepProblem, SolverConfig, palm_minimize\n"
         "from pcagmm.stats import SufficientStats\n"
         "STATS = SufficientStats(weight=1.0, sum_x=np.zeros(2), sum_outer=np.eye(2))\n"
         "for expr in sys.argv[1:]:\n"
