@@ -13,6 +13,7 @@ from .errors import (
     CorruptHeader,
     DegenerateDensity,
     EmptyComponent,
+    InvalidParameter,
     InvalidShape,
     LineSearchFailed,
     NotPositiveDefinite,
@@ -25,7 +26,7 @@ from .formats import load_model, read_image, save_model, write_image
 from .gmm import EmConfig, fit_gmm
 from .metrics import psnr
 from .patches import PatchGeometry, extract_pairs
-from .pca_gmm import PcaGmmModel, fit_pcagmm
+from .pca_gmm import PcaGmmModel, check_sigma, fit_pcagmm
 from .superres import reconstruct
 
 _DATA_ERRORS = (
@@ -61,6 +62,18 @@ def _at_least(kind, low, strict=False):
 
     parse.__name__ = f"{kind.__name__} {'>' if strict else '>='} {low}"
     return parse
+
+
+def _sigma(text):
+    """argparse type for the noise scale: a float accepted by
+    pca_gmm.check_sigma. argparse reports the ValueError and exits with code 2."""
+    try:
+        return check_sigma(text)
+    except InvalidParameter:
+        raise ValueError(text) from None
+
+
+_sigma.__name__ = "float with 0 < sigma**2 < inf"
 
 
 def _cmd_degrade(args):
@@ -167,7 +180,7 @@ def build_parser():
     p.add_argument("--tau", type=_at_least(int, 1), default=4)
     p.add_argument("--factor", type=_at_least(int, 2), required=True)
     p.add_argument("--reduced-dim", type=_at_least(int, 1), default=20)
-    p.add_argument("--sigma", type=_at_least(float, 0.0, strict=True), default=0.1)
+    p.add_argument("--sigma", type=_sigma, default=0.1)
     p.add_argument("--stride", type=_at_least(int, 1), default=1)
     p.add_argument("--max-patches", type=_at_least(int, 1), default=None)
     p.add_argument("--em-iters", type=_at_least(int, 0), default=100)

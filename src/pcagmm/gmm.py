@@ -182,19 +182,34 @@ def gmm_mstep(X, beta):
 
 
 def kmeanspp_indices(X, K, rng):
-    """Indices of K seed samples chosen by squared-distance-weighted sampling."""
+    """Indices of K seed samples chosen by squared-distance-weighted sampling.
+
+    The squared distance of every sample to a new seed c is expanded as
+    ||x||^2 - 2 x.c + ||c||^2: the squared norms are computed once and each
+    seed costs one matrix-vector product, with no N x n temporary. The
+    expansion is clamped at 0, so rounding never yields a negative weight.
+    """
     N = X.shape[0]
     if N < K:
         raise InvalidShape(f"need at least K={K} samples, got {N}")
+    sq = np.einsum("ij,ij->i", X, X)
+
+    def dist2(c):
+        d2 = X @ X[c]
+        d2 *= -2.0
+        d2 += sq
+        d2 += sq[c]
+        return np.maximum(d2, 0.0, out=d2)
+
     chosen = [int(rng.integers(N))]
-    d2 = np.sum((X - X[chosen[0]]) ** 2, axis=1)
+    d2 = dist2(chosen[0])
     for _ in range(K - 1):
         total = d2.sum()
         if total <= 0.0:
             chosen.append(int(rng.integers(N)))
             continue
         chosen.append(int(rng.choice(N, p=d2 / total)))
-        d2 = np.minimum(d2, np.sum((X - X[chosen[-1]]) ** 2, axis=1))
+        np.minimum(d2, dist2(chosen[-1]), out=d2)
     return np.asarray(chosen)
 
 

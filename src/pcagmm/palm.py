@@ -329,7 +329,10 @@ def _block_step(point, x, x_prev, gamma, tau, at, grad, prox):
     if gamma > 0.0:
         try:
             y = x + gamma * (x - x_prev)
-            cand_x = prox(y - grad(at(y)) / tau)
+            # a block that did not move extrapolates to x itself; reuse its
+            # factored point
+            base = point if np.array_equal(y, x) else at(y)
+            cand_x = prox(y - grad(base) / tau)
             cand = at(cand_x)
             if cand.G <= point.G:
                 return cand, float(np.linalg.norm(cand_x - x)), tau

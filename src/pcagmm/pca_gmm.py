@@ -76,13 +76,23 @@ class PcaGmmModel:
             or d > n
         ):
             raise InvalidShape("inconsistent parameter shapes")
-        if not self.sigma > 0.0:
-            raise InvalidParameter(f"sigma must be positive, got {self.sigma}")
-        check_mixture(self.alpha, self.covs, self.means, self.offsets, self.sigma)
+        check_sigma(self.sigma)
+        check_mixture(self.alpha, self.covs, self.means, self.offsets)
         for k in range(K):
             if not stiefel_defect(self.bases[k]) <= 1e-10:
                 raise InvalidParameter(f"frame {k} is not orthonormal")
         return self
+
+
+def check_sigma(sigma):
+    """Return sigma as a float; raise InvalidParameter unless sigma > 0 and
+    sigma^2, which every score divides by, is a positive finite double."""
+    sigma = float(sigma)
+    if not (sigma > 0.0 and 0.0 < sigma * sigma < np.inf):
+        raise InvalidParameter(
+            f"sigma must be positive with a positive, finite square, got {sigma!r}"
+        )
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -164,26 +174,24 @@ def recover_component(stats, basis, offset, weight_floor=1e-12):
 
 def _nearest_seed(X, seeds):
     """Index into `seeds` of the seed sample nearest to each row of X; ties
-    go to the lowest index. Seeds are visited one at a time, so no N x K x n
-    distance array is formed."""
-    best = np.full(X.shape[0], np.inf)
-    labels = np.zeros(X.shape[0], dtype=np.intp)
-    for k, s in enumerate(seeds):
-        d2 = np.sum((X - X[s]) ** 2, axis=1)
-        closer = d2 < best
-        best[closer] = d2[closer]
-        labels[closer] = k
-    return labels
+    go to the lowest index. The squared distances, less the ||x||^2 that is
+    common to a row, are ||s||^2 - 2 x.s: one N x K product for all seeds."""
+    S = X[seeds]
+    d2 = X @ S.T
+    d2 *= -2.0
+    d2 += np.einsum("ij,ij->i", S, S)
+    return np.argmin(d2, axis=1)
 
 
 def _init_model(X, K, d, sigma, rng):
     """Per-cluster PCA initialization: offset at the cluster mean, frame from
     the top eigenvectors of the cluster scatter, zero reduced mean.
 
-    The eigenvectors are the right singular vectors of the centred cluster,
-    from its thin SVD (O(m^2 n) for m points), so no n x n scatter is formed.
-    A cluster of m < d points takes the full SVD, whose extra rows complete
-    the frame to d orthonormal columns."""
+    Each centred cluster Y of m points is factored on its smaller side: the
+    n x n scatter Y^T Y when m > n, otherwise the m x m Gram matrix Y Y^T,
+    whose eigenvectors E give the scatter's as the columns of Y^T E. The
+    frame is the Q factor of those top d columns, zero-padded to d, so it is
+    orthonormal even where the cluster has rank below d."""
     N, n = X.shape
     labels = _nearest_seed(X, kmeanspp_indices(X, K, rng))
 
@@ -196,11 +204,15 @@ def _init_model(X, K, d, sigma, rng):
             pts = X
         m = pts.shape[0]
         center = pts.mean(axis=0)
-        _, s, Vt = np.linalg.svd(pts - center, full_matrices=m < d)
+        Y = pts - center
+        lam, E = np.linalg.eigh(Y.T @ Y if m > n else Y @ Y.T)
+        lam, E = lam[: -d - 1 : -1], E[:, : -d - 1 : -1]
+        frame = np.zeros((n, d))
+        frame[:, : lam.size] = E if m > n else Y.T @ E
         top = np.zeros(d)
-        top[: min(s.size, d)] = s[:d] ** 2 / m
+        top[: lam.size] = np.maximum(lam, 0.0) / m
         floor = 1e-6 * top[0] + 1e-12
-        bases[k] = Vt[:d].T
+        bases[k] = np.linalg.qr(frame)[0]
         offsets[k] = center
         covs[k] = np.diag(np.maximum(top, floor))
     return PcaGmmModel(
@@ -238,6 +250,7 @@ def fit_pcagmm(X, K, d, sigma, em_config=None, solver_config=None, seed=0):
     the trace of _run_em, whose mean norms are the gauge diagnostic.
     """
     X = np.asarray(X, dtype=float)
+    sigma = check_sigma(sigma)
     solver_config = solver_config or SolverConfig()
     N, n = X.shape
     if not 1 <= d <= n:

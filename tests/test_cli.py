@@ -192,6 +192,35 @@ class TestTrainSuperresPsnr:
                    "--output", tmp / "o.pgm") == 3
         assert "not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma", ["1e-300", "1e160"])
+    def test_sigma_with_unrepresentable_square_is_argument_error(self, scene, sigma):
+        tmp, high = scene
+        low = tmp / "low.pgm"
+        run("degrade", "--input", high, "--output", low, "--factor", 2, "--seed", 1)
+        proc = run_process("train", "--high", high, "--low", low,
+                           "--model", tmp / "m.pgmm", "--components", 2, "--tau", 3,
+                           "--factor", 2, "--reduced-dim", 3, "--em-iters", 1,
+                           "--sigma", sigma)
+        assert proc.returncode == 2, proc.stderr
+        assert "argument --sigma: invalid" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_model_sigma_with_unrepresentable_square_is_data_error(self, scene):
+        tmp, high = scene
+        low, model = tmp / "low.pgm", tmp / "model.pgmm"
+        run("degrade", "--input", high, "--output", low, "--factor", 2, "--seed", 1)
+        run("train", "--high", high, "--low", low, "--model", model,
+            "--kind", "pcagmm", "--components", 2, "--tau", 3, "--factor", 2,
+            "--reduced-dim", 3, "--em-iters", 1, "--seed", 0)
+        fitted, geom = load_model(model)
+        fitted.sigma = 1e200
+        save_model(model, fitted, geom)
+        proc = run_process("superres", "--low", low, "--model", model,
+                           "--output", tmp / "o.pgm")
+        assert proc.returncode == 3, proc.stderr
+        assert "sigma" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_psnr_shape_mismatch_is_data_error(self, scene):
         tmp, high = scene
         low = tmp / "low.pgm"

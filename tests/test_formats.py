@@ -166,6 +166,8 @@ class TestModelFile:
             ("alpha", np.array([5.0, -4.0]), "simplex"),
             ("sigma", -1.0, "sigma"),
             ("bases", np.full((2, 5, 2), 0.5), "orthonormal"),
+            ("sigma", 1e-300, "sigma"),  # sigma**2 underflows to 0
+            ("sigma", 1e200, "sigma"),  # sigma**2 overflows
         ],
     )
     def test_invariant_violations_are_corrupt(self, tmp_path, field, value, message):

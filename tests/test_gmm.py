@@ -10,6 +10,7 @@ from pcagmm.gmm import (
     gmm_estep,
     gmm_mstep,
     gmm_nll,
+    kmeanspp_indices,
 )
 
 
@@ -216,3 +217,47 @@ class TestFit:
     def test_too_few_samples(self):
         with pytest.raises(InvalidShape):
             fit_gmm(np.zeros((2, 2)), 3)
+
+
+def exact_kmeanspp_indices(X, K, rng):
+    """Seeding with the squared distances computed as ||x - c||^2 directly."""
+    N = X.shape[0]
+    chosen = [int(rng.integers(N))]
+    d2 = np.sum((X - X[chosen[0]]) ** 2, axis=1)
+    for _ in range(K - 1):
+        total = d2.sum()
+        if total <= 0.0:
+            chosen.append(int(rng.integers(N)))
+            continue
+        chosen.append(int(rng.choice(N, p=d2 / total)))
+        d2 = np.minimum(d2, np.sum((X - X[chosen[-1]]) ** 2, axis=1))
+    return np.asarray(chosen)
+
+
+class TestKmeansppSeeding:
+    def test_offset_data_with_duplicates_never_repeats_a_row(self):
+        # at an offset of 1e3 the product form ||x||^2 - 2 x.c + ||c||^2
+        # cancels to rounding noise on rows equal to a seed; clamped at 0,
+        # that noise must neither raise in rng.choice nor pick such a row
+        rng = np.random.default_rng(19)
+        distinct = 1e3 + rng.standard_normal((40, 6))
+        X = np.concatenate([distinct, distinct[:15], distinct[:15]])
+        for seed in range(5):
+            idx = kmeanspp_indices(X, 30, np.random.default_rng(seed))
+            assert idx.shape == (30,)
+            assert len({X[i].tobytes() for i in idx}) == 30
+
+    def test_identical_rows(self):
+        X = np.full((12, 5), 0.37)
+        idx = kmeanspp_indices(X, 4, np.random.default_rng(0))
+        assert idx.shape == (4,)
+        assert np.all((0 <= idx) & (idx < 12))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_exact_distances(self, seed):
+        rng = np.random.default_rng(20 + seed)
+        X = rng.standard_normal((300, 8)) * rng.uniform(0.1, 3.0, 8) + 2.0
+        np.testing.assert_array_equal(
+            kmeanspp_indices(X, 20, np.random.default_rng(seed)),
+            exact_kmeanspp_indices(X, 20, np.random.default_rng(seed)),
+        )

@@ -318,7 +318,8 @@ class TestPalm:
             palm_minimize(problem, angle_problem(1.0), np.zeros(2))
 
     def test_factors_each_point_once(self, monkeypatch):
-        # G and both gradients at one (U, b) share one Cholesky factor, so no
+        # G and both gradients at one (U, b) share one Cholesky factor, and a
+        # block that did not move extrapolates from the current point, so no
         # matrix reaches try_cholesky twice in a solve
         factored = []
 
@@ -328,15 +329,16 @@ class TestPalm:
 
         try_cholesky = palm_mod.try_cholesky
         monkeypatch.setattr(palm_mod, "try_cholesky", counting)
-        rng = np.random.default_rng(14)
-        for seed in range(6):
-            problem, _, _ = make_problem(rng, 8)
-            factored.clear()
-            _, _, trace = palm_minimize(
-                problem, random_stiefel(8, 3, seed=seed), rng.standard_normal(8)
-            )
-            assert trace.size > 2
-            assert len(factored) == len(set(factored))
+        for minimize in (palm_minimize, ipalm_minimize):
+            rng = np.random.default_rng(14)
+            for seed in range(6):
+                problem, _, _ = make_problem(rng, 8)
+                factored.clear()
+                _, _, trace = minimize(
+                    problem, random_stiefel(8, 3, seed=seed), rng.standard_normal(8)
+                )
+                assert trace.size > 2
+                assert len(factored) == len(set(factored))
 
     @pytest.mark.parametrize(
         "U0, b0",

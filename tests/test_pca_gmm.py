@@ -3,7 +3,7 @@ import pytest
 
 import pcagmm.gmm as gmm_mod
 import pcagmm.pca_gmm as pca_mod
-from pcagmm.errors import EmptyComponent
+from pcagmm.errors import EmptyComponent, InvalidParameter
 from pcagmm.gmm import EmConfig, GmmParams, fit_gmm, gauss_logpdf, gmm_estep, gmm_nll
 from pcagmm.linalg import logdet_spd, random_stiefel, stiefel_defect
 from pcagmm.palm import SolverConfig
@@ -329,19 +329,64 @@ class TestInit:
         labels = pca_mod._nearest_seed(X, seeds)
         np.testing.assert_array_equal(labels, np.argmin(d2, axis=1))
 
+    def test_nearest_seed_matches_broadcast_argmin(self):
+        # on float data the product form rounds differently from the direct
+        # distances; it must agree wherever the nearest seed is well defined
+        rng = np.random.default_rng(17)
+        X = rng.standard_normal((500, 9)) * 3.0 + 5.0
+        seeds = rng.choice(500, 25, replace=False)
+        d2 = ((X[:, None, :] - X[seeds][None, :, :]) ** 2).sum(axis=2)
+        two = np.sort(d2, axis=1)[:, :2]
+        clear = two[:, 1] - two[:, 0] > 1e-9 * two[:, 1]
+        assert np.mean(clear) > 0.9
+        labels = pca_mod._nearest_seed(X, seeds)
+        np.testing.assert_array_equal(labels[clear], np.argmin(d2, axis=1)[clear])
+
+    def test_seeding_goes_through_the_pca_gmm_attribute(self, monkeypatch):
+        # the benchmark's tracer wraps pca_gmm.kmeanspp_indices
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1])
+            return gmm_mod.kmeanspp_indices(*args)
+
+        monkeypatch.setattr(pca_mod, "kmeanspp_indices", counting)
+        X = np.random.default_rng(18).standard_normal((60, 5))
+        pca_mod._init_model(X, 3, 2, 0.1, np.random.default_rng(0))
+        assert calls == [3]
 
     @pytest.mark.parametrize(
-        "case", ["m<d", "m=d", "m=d+1", "m>n", "repeated rows"]
+        "case",
+        [
+            "m<d",
+            "m=d",
+            "m=d+1",
+            "m>n",
+            "repeated rows",
+            "m=n",
+            "repeated rows, m<n",
+            "m<n, n=200",
+        ],
     )
     def test_frame_spans_top_eigenvectors(self, case):
         # one cluster of m points; the frame must be orthonormal even where
         # the centred cluster has rank below d, and span the top eigenvectors
-        # of the cluster scatter wherever the eigengap defines them
-        n, d = 12, 5
-        m = {"m<d": 3, "m=d": 5, "m=d+1": 6, "m>n": 40, "repeated rows": 30}[case]
+        # of the cluster scatter wherever the eigengap defines them. Clusters
+        # of m <= n points are factored through their m x m Gram matrix.
+        n, d = (200, 20) if case == "m<n, n=200" else (12, 5)
+        m = {
+            "m<d": 3,
+            "m=d": 5,
+            "m=d+1": 6,
+            "m>n": 40,
+            "repeated rows": 30,
+            "m=n": 12,
+            "repeated rows, m<n": 8,
+            "m<n, n=200": 60,
+        }[case]
         rng = np.random.default_rng(m)
         X = rng.standard_normal((m, n)) @ np.diag(np.linspace(3.0, 0.5, n))
-        if case == "repeated rows":
+        if case.startswith("repeated rows"):
             X[1:] = X[1]
         model = pca_mod._init_model(X, 1, d, 0.1, np.random.default_rng(0))
         U = model.bases[0]
@@ -378,6 +423,12 @@ class TestFlooredStats:
 
 
 class TestFit:
+    @pytest.mark.parametrize("sigma", [1e-300, 1e160, 0.0, -0.1, np.nan, np.inf])
+    def test_sigma_square_must_be_positive_and_finite(self, sigma):
+        X = np.random.default_rng(0).standard_normal((20, 4))
+        with pytest.raises(InvalidParameter, match="sigma"):
+            fit_pcagmm(X, 2, 2, sigma=sigma)
+
     def test_recovers_planar_subspace(self):
         rng = np.random.default_rng(15)
         n, d = 6, 2
