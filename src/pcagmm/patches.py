@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.ndimage import correlate1d
 
 from .errors import InvalidParameter, InvalidShape, UncoveredPixel
 
@@ -157,27 +158,30 @@ def patch_weights(edge, dims, gamma):
 
 def _spread(grid, taps):
     """Each sample of grid spread over the len(taps) samples after it along
-    every axis: out[p] = sum over offsets t of prod_a taps[t_a] * grid[p - t]."""
-    for axis in range(grid.ndim):
-        out = np.zeros_like(grid)
-        n = grid.shape[axis]
-        head = (slice(None),) * axis
-        for t, tap in enumerate(taps):
-            out[head + (slice(t, n),)] += tap * grid[head + (slice(0, n - t),)]
-        grid = out
-    return grid
+    every axis: out[p] = sum over offsets t of prod_a taps[t_a] * grid[p - t].
+
+    Works in one float copy of grid: along each axis, a correlation with the
+    reversed taps followed by len(taps) - 1 zeros, written back in place."""
+    out = grid.astype(float)
+    w = np.concatenate([taps[::-1], np.zeros(len(taps) - 1)])
+    for axis in range(out.ndim):
+        correlate1d(out, w, axis, output=out, mode="constant")
+    return out
 
 
 class OverlapAdd:
     """Weighted overlap-add of patches placed at output-grid origins, added
     one batch at a time.
 
-    `add` accumulates a batch's Gaussian-weighted patch samples and counts its
+    The accumulator holds two output-sized arrays: the weighted sums (float64)
+    and the number of patches with their origin at each sample (int32). `add`
+    accumulates a batch's Gaussian-weighted patch samples and counts its
     origins, touching only the bounding box of the batch's footprints.
     `finish` spreads the origin counts into per-pixel weight sums (the weights
-    are separable) and divides once. Every covered output sample becomes the
-    weight-normalized average of all patch samples landing on it; the result
-    does not depend on patch order or batching.
+    are separable) in one more float64 output-sized array and divides into
+    it. Every covered output sample becomes the weight-normalized average of
+    all patch samples landing on it; the result does not depend on patch
+    order or batching.
     """
 
     def __init__(self, out_dims, edge, gamma):
@@ -186,7 +190,8 @@ class OverlapAdd:
         self.gamma = gamma
         self.weights = patch_weights(edge, len(self.out_dims), gamma).ravel()
         self.num = np.zeros(self.out_dims)
-        self.count = np.zeros(self.out_dims)  # patches with their origin here
+        # patches with their origin here
+        self.count = np.zeros(self.out_dims, dtype=np.int32)
 
     def add(self, values, origins):
         """Add N patches, values (N, edge**dims), at origins (N, dims)."""
@@ -219,7 +224,8 @@ class OverlapAdd:
         self.count[region] += np.bincount(start, minlength=size).reshape(box)
 
     def finish(self):
-        """The weight-normalized output; raises UncoveredPixel where the
+        """The weight-normalized output, divided into the one new float64
+        array that holds the spread weights; raises UncoveredPixel where the
         weights sum to 0, naming whether no patch covers the pixel or the
         weights of this gamma underflow."""
         den = _spread(self.count, patch_weights(self.edge, 1, self.gamma))

@@ -119,23 +119,52 @@ def lift_component(basis, offset, mean, cov, sigma):
     )
 
 
+_ROW_BLOCK = 256  # rows per block of the centred row norms
+
+
+def _sq_dist(X, offsets):
+    """N x K matrix of ||x - b_k||^2, expanded about the data mean c as
+    ||x - c||^2 - 2 (x - c).(b_k - c) + ||b_k - c||^2, so that an offset common
+    to the data and the b_k cancels before any product. The cross term is one
+    N x K product, X (B - c)^T less c.(b_k - c); the row norms ||x - c||^2
+    are taken _ROW_BLOCK rows at a time, so X - c never exists whole."""
+    N = X.shape[0]
+    c = X.sum(axis=0) / max(N, 1)
+    D = offsets - c
+    d2 = X @ D.T
+    d2 -= D @ c
+    d2 *= -2.0
+    d2 += np.einsum("ij,ij->i", D, D)
+    for start in range(0, N, _ROW_BLOCK):
+        Y = X[start : start + _ROW_BLOCK] - c
+        d2[start : start + _ROW_BLOCK] += np.einsum("ij,ij->i", Y, Y)[:, None]
+    return d2
+
+
 def _log_joint(model, X):
     """N x K matrix of per-component log scores.
 
-    Scores the reduced coordinates U^T (x - b) and subtracts the off-subspace
-    residual energy, computed as ||y||^2 - ||U^T y||^2, over 2 sigma^2.
+    Scores the reduced coordinates P = U_k^T (x - b_k), formed as
+    X U_k - b_k^T U_k (N x d), and subtracts the off-subspace residual energy
+    ||x - b_k||^2 - ||P||^2, clamped at 0, over 2 sigma^2. The squared
+    distances of every component come from _sq_dist, so no component makes
+    an N x n array.
     """
     X = np.asarray(X, dtype=float)
-    residual = np.zeros((X.shape[0], model.n_components))
+    residual = _sq_dist(X, model.offsets)
 
     def reduced(k):
-        Y = X - model.offsets[k]
-        P = Y @ model.bases[k]
-        residual[:, k] = np.einsum("ij,ij->i", Y, Y) - np.einsum("ij,ij->i", P, P)
+        U = model.bases[k]
+        P = X @ U
+        P -= model.offsets[k] @ U
+        residual[:, k] -= np.einsum("ij,ij->i", P, P)
+        np.maximum(residual[:, k], 0.0, out=residual[:, k])
         return P
 
     scores = _gaussian_log_joint(model, X, reduced)
-    return scores - (0.5 / model.sigma**2) * residual
+    residual *= 0.5 / model.sigma**2
+    scores -= residual
+    return scores
 
 
 def pcagmm_objective(model, X):

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, InvalidShape
+from .gmm import _EMPTY_REL
 
 
 @dataclass(frozen=True)
@@ -35,14 +36,22 @@ class SufficientStats:
 
 def accumulate_stats(X, beta, k):
     """Accumulate SufficientStats for component k from samples X and
-    responsibilities beta (rows sum to one)."""
+    responsibilities beta (rows sum to one).
+
+    Only the rows with beta[:, k] >= _EMPTY_REL enter the sums. A dropped row
+    x changes the weight, sum_x and sum_outer by beta < _EMPTY_REL times 1,
+    ||x|| and ||x||^2. A component that EM does not count as starved has
+    column mass >= _EMPTY_REL N, so some row is kept and its weight is
+    positive. The kept rows are gathered once and scaled in place by
+    sqrt(beta).
+    """
     X = np.asarray(X, dtype=float)
     w = np.asarray(beta, dtype=float)[:, k]
+    rows = np.flatnonzero(w >= _EMPTY_REL)
+    w = w[rows]
+    Y = X[rows]
+    sum_x = w @ Y
     # Y^T Y of one operand runs as a symmetric rank-k update: half the flops
     # of a general product, and the result is exactly symmetric
-    Y = np.sqrt(w)[:, None] * X
-    return SufficientStats(
-        weight=float(w.sum()),
-        sum_x=w @ X,
-        sum_outer=Y.T @ Y,
-    )
+    Y *= np.sqrt(w)[:, None]
+    return SufficientStats(weight=float(w.sum()), sum_x=sum_x, sum_outer=Y.T @ Y)

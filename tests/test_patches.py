@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,26 @@ class TestAggregate:
         np.testing.assert_allclose(
             acc.finish(), aggregate(values, ps.origins, 3, 0.4, (9, 11, 7)), atol=1e-14
         )
+
+    @pytest.mark.parametrize("out_dims", [(512, 512), (64, 64, 64)], ids=["2d", "3d"])
+    def test_finish_holds_one_extra_output_array(self, out_dims):
+        # patches tile the output exactly, so every sample is covered; the
+        # denominator is the one output-sized array finish may add
+        edge = 8
+        grid = np.meshgrid(*(np.arange(0, m, edge) for m in out_dims), indexing="ij")
+        origins = np.stack([g.ravel() for g in grid], axis=1)
+        acc = OverlapAdd(out_dims, edge, 0.3)
+        acc.add(
+            np.random.default_rng(17).random((len(origins), edge ** len(out_dims))),
+            origins,
+        )
+        tracemalloc.start()
+        try:
+            out = acc.finish()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * out.nbytes
 
     def test_weights_match_stated_formula(self):
         gamma, edge = 0.25, 6

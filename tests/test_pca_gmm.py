@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from pcagmm.pca_gmm import (
     pcagmm_objective,
     recover_component,
 )
-from pcagmm.stats import SufficientStats, accumulate_stats
+from pcagmm.stats import _EMPTY_REL, SufficientStats, accumulate_stats
 
 
 def random_cov(rng, d, shift=0.5):
@@ -236,6 +238,50 @@ class TestEstep:
         beta = pcagmm_estep(model, rng.standard_normal((50, 6)))
         np.testing.assert_allclose(beta.sum(axis=1), 1.0, atol=1e-10)
 
+    @staticmethod
+    def direct_log_joint(model, X):
+        """Per-component, per-sample reference: log alpha_k plus the reduced
+        density of U^T (x - b) minus ||x - b||^2 - ||U^T (x - b)||^2 over
+        2 sigma^2."""
+        out = np.empty((X.shape[0], model.n_components))
+        for k in range(model.n_components):
+            U, b = model.bases[k], model.offsets[k]
+            for i, x in enumerate(X):
+                y = x - b
+                p = U.T @ y
+                out[i, k] = (
+                    np.log(model.alpha[k])
+                    + gauss_logpdf(p, model.means[k], model.covs[k])
+                    - (y @ y - p @ p) / (2.0 * model.sigma**2)
+                )
+        return out
+
+    @pytest.mark.parametrize("shift, tol", [(0.0, 1e-10), (1e3, 1e-7)])
+    def test_log_joint_matches_direct_residual(self, shift, tol):
+        # the shift moves data and offsets together; expanding ||x - b||^2
+        # about the origin instead of the data mean is off by 5e-6 at 1e3
+        rng = np.random.default_rng(30)
+        model = random_model(rng, 4, 40, 3, sigma=0.05)
+        X = rng.standard_normal((150, 40)) + shift
+        model.offsets += shift
+        got = pca_mod._log_joint(model, X)
+        np.testing.assert_allclose(got, self.direct_log_joint(model, X), rtol=0, atol=tol)
+
+    def test_component_without_weight_scores_minus_inf(self):
+        rng = np.random.default_rng(31)
+        model = random_model(rng, 3, 6, 2)
+        model.alpha = np.array([0.5, 0.0, 0.5])
+        scores = pca_mod._log_joint(model, rng.standard_normal((20, 6)))
+        assert np.all(scores[:, 1] == -np.inf)
+        assert np.all(np.isfinite(scores[:, [0, 2]]))
+
+    def test_no_rows(self):
+        model = random_model(np.random.default_rng(32), 3, 5, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beta = pcagmm_estep(model, np.zeros((0, 5)))
+        assert beta.shape == (0, 3)
+
 
 class TestStats:
     def test_unit_weights(self):
@@ -274,6 +320,42 @@ class TestStats:
         stats = accumulate_stats(X, beta, 0)
         centered = stats.sum_outer - np.outer(stats.sum_x, stats.sum_x) / stats.weight
         assert np.linalg.eigvalsh(centered).min() >= -1e-10
+
+    def test_row_floor_drops_at_most_the_floored_mass(self):
+        rng = np.random.default_rng(33)
+        X = rng.standard_normal((200, 5))
+        w = 10.0 ** rng.uniform(-20.0, 0.0, 200)
+        beta = np.stack([1.0 - w, w], axis=1)
+        stats = accumulate_stats(X, beta, 1)
+        dropped = w < _EMPTY_REL
+        assert 0 < dropped.sum() < 200
+        norms = np.linalg.norm(X, axis=1)
+        bound = [np.sum(w[dropped] * norms[dropped] ** p) for p in (0, 1, 2)]
+        sum_x = sum(b * x for b, x in zip(w, X))
+        sum_outer = sum(b * np.outer(x, x) for b, x in zip(w, X))
+        assert abs(stats.weight - w.sum()) <= bound[0] + 1e-13
+        assert np.linalg.norm(stats.sum_x - sum_x) <= bound[1] + 1e-13
+        assert np.linalg.norm(stats.sum_outer - sum_outer, 2) <= bound[2] + 1e-13
+
+    def test_row_floor_keeps_rows_at_the_floor(self):
+        X = np.random.default_rng(34).standard_normal((40, 3))
+        stats = accumulate_stats(X, np.full((40, 1), _EMPTY_REL), 0)
+        assert stats.weight == pytest.approx(40 * _EMPTY_REL, rel=1e-14)
+        np.testing.assert_allclose(stats.sum_x, _EMPTY_REL * X.sum(axis=0), rtol=1e-13)
+        np.testing.assert_allclose(
+            stats.sum_outer, _EMPTY_REL * X.T @ X, rtol=1e-12, atol=1e-25
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_unstarved_column_has_positive_weight(self, seed):
+        # EM counts a column as starved below _EMPTY_REL * N; any column at or
+        # above that mass has an entry at or above _EMPTY_REL
+        rng = np.random.default_rng(seed)
+        N = 500
+        w = rng.dirichlet(np.full(N, 0.05)) * (_EMPTY_REL * N) * (1.0 + 1e-9)
+        assert w.sum() >= _EMPTY_REL * N
+        stats = accumulate_stats(rng.standard_normal((N, 4)), w[:, None], 0)
+        assert stats.weight > 0.0
 
 
 class TestRecover:
