@@ -12,9 +12,9 @@ from scipy.special import logsumexp
 
 from .errors import DegenerateDensity, EmptyComponent, InvalidParameter, InvalidShape
 from .linalg import cholesky_spd, regularize_spd, solve_triangular
+from .stats import _EMPTY_REL, floored_moments
 
 _LOG_2PI = np.log(2.0 * np.pi)
-_EMPTY_REL = 1e-12  # column mass below _EMPTY_REL * N counts as starved
 
 
 @dataclass
@@ -162,22 +162,39 @@ def gmm_estep(params, X):
 
 
 def gmm_mstep(X, beta):
-    """Maximum-likelihood update from responsibilities: mixture weights,
-    weighted means and mean-centered weighted covariances."""
+    """Maximum-likelihood update from responsibilities beta (N x K): mixture
+    weights, weighted means and weighted covariances about those means.
+
+    The weights and means use every row. Each covariance is the
+    floored_moments scatter of its column about the component mean, taken
+    over the rows with beta[:, k] >= _EMPTY_REL and divided by the full column
+    mass c_k, then floored by regularize_spd. It falls short of the dense
+    covariance by a positive semidefinite matrix of norm at most
+    sum over dropped rows of beta_ik ||x_i - mu_k||^2 / c_k.
+
+    Raises InvalidShape unless X is N x n and beta N x K, and EmptyComponent
+    naming every column whose mass is below _EMPTY_REL N, or every column
+    when there are no rows.
+    """
     X = np.asarray(X, dtype=float)
     beta = np.asarray(beta, dtype=float)
+    if X.ndim != 2 or beta.ndim != 2 or beta.shape[0] != X.shape[0]:
+        raise InvalidShape(
+            f"expected samples (N, n) and responsibilities (N, K), got "
+            f"{X.shape} and {beta.shape}"
+        )
     N, n = X.shape
+    K = beta.shape[1]
     cols = beta.sum(axis=0)
-    starved = np.flatnonzero(cols < _EMPTY_REL * N)
+    starved = np.flatnonzero(cols < _EMPTY_REL * N) if N else np.arange(K)
     if starved.size:
         raise EmptyComponent(starved)
-    K = beta.shape[1]
     alpha = cols / N
     means = (beta.T @ X) / cols[:, None]
     covs = np.empty((K, n, n))
     for k in range(K):
-        D = X - means[k]
-        covs[k] = regularize_spd((D.T * beta[:, k]) @ D / cols[k])
+        _, _, scatter = floored_moments(X, beta[:, k], about=means[k])
+        covs[k] = regularize_spd(scatter / cols[k])
     return GmmParams(alpha=alpha, means=means, covs=covs)
 
 

@@ -14,6 +14,8 @@ from scipy.ndimage import correlate1d
 
 from .errors import InvalidParameter, InvalidShape, UncoveredPixel
 
+_PAIR_ROWS = 256  # patch pairs gathered per block in extract_pairs
+
 
 @dataclass(frozen=True)
 class PatchGeometry:
@@ -80,6 +82,10 @@ def extract_pairs(high, low, geom, stride=1, max_patches=None, seed=None):
     The low patch at origin (i, j) pairs with the high patch of edge q*tau at
     (q*i, q*j). When the grid holds more than max_patches origins, a uniform
     subsample without replacement is drawn, deterministic per seed.
+
+    The pairs are written into the returned (N, n_high + n_low) array
+    _PAIR_ROWS rows at a time, so the gathered patches add at most that many
+    rows of temporaries.
     """
     high = np.asarray(high, dtype=float)
     low = np.asarray(low, dtype=float)
@@ -103,11 +109,14 @@ def extract_pairs(high, low, geom, stride=1, max_patches=None, seed=None):
 
     low_windows = sliding_window_view(low, (geom.tau,) * geom.dims)
     high_windows = sliding_window_view(high, (geom.high_edge,) * geom.dims)
-    low_patches = low_windows[tuple(origins.T)].reshape(origins.shape[0], -1)
-    high_patches = high_windows[tuple((geom.q * origins).T)].reshape(
-        origins.shape[0], -1
-    )
-    data = np.concatenate([high_patches, low_patches], axis=1)
+    data = np.empty((origins.shape[0], geom.n_joint))
+    for start in range(0, origins.shape[0], _PAIR_ROWS):
+        at = origins[start : start + _PAIR_ROWS]
+        rows = data[start : start + _PAIR_ROWS]
+        rows[:, : geom.n_high] = high_windows[tuple((geom.q * at).T)].reshape(
+            at.shape[0], -1
+        )
+        rows[:, geom.n_high :] = low_windows[tuple(at.T)].reshape(at.shape[0], -1)
     return PatchSet(data=data, origins=origins)
 
 

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from pcagmm.gmm import (
     gmm_nll,
     kmeanspp_indices,
 )
+from pcagmm.stats import _EMPTY_REL
 
 
 def random_params(rng, K, n):
@@ -21,6 +25,18 @@ def random_params(rng, K, n):
         covs[k] = A @ A.T + np.eye(n)
     alpha = rng.uniform(0.2, 1.0, K)
     return GmmParams(alpha=alpha / alpha.sum(), means=rng.standard_normal((K, n)), covs=covs)
+
+
+def dense_covs(X, beta):
+    """Covariances of the M-step over every row, (X - mu)^T diag(beta) (X - mu)
+    divided by the column mass, before the floor."""
+    cols = beta.sum(axis=0)
+    means = beta.T @ X / cols[:, None]
+    covs = []
+    for k in range(beta.shape[1]):
+        D = X - means[k]
+        covs.append((D.T * beta[:, k]) @ D / cols[k])
+    return np.array(covs), means
 
 
 def naive_density(x, mu, sigma):
@@ -168,6 +184,73 @@ class TestMstep:
         with pytest.raises(EmptyComponent) as err:
             gmm_mstep(X, beta)
         assert err.value.indices == (1,)
+
+    def test_row_floor_drops_at_most_the_floored_mass(self):
+        rng = np.random.default_rng(30)
+        X = rng.standard_normal((200, 5))
+        w = 10.0 ** rng.uniform(-20.0, 0.0, 200)
+        beta = np.stack([1.0 - w, w], axis=1)
+        params = gmm_mstep(X, beta)
+        ref, means = dense_covs(X, beta)
+        dropped = beta < _EMPTY_REL
+        assert 0 < dropped[:, 1].sum() < 200
+        for k in range(2):
+            d2 = np.sum((X - means[k]) ** 2, axis=1)
+            bound = np.sum(beta[dropped[:, k], k] * d2[dropped[:, k]]) / beta[:, k].sum()
+            scale = np.linalg.norm(ref[k], 2)
+            assert np.linalg.norm(params.covs[k] - ref[k], 2) <= bound + 1e-12 * scale
+
+    @pytest.mark.parametrize("shift", [0.0, 1e3])
+    def test_far_from_origin_matches_centred_reference(self, shift):
+        # at shift 1e3 the raw moment minus the outer product of the mean is
+        # off by about 7e-7 relative
+        rng = np.random.default_rng(31)
+        X = shift + 0.05 * rng.standard_normal((300, 6))
+        beta = rng.dirichlet(np.full(3, 0.3), 300)
+        params = gmm_mstep(X, beta)
+        ref, _ = dense_covs(X, beta)
+        for k in range(3):
+            err = np.linalg.norm(params.covs[k] - ref[k], 2)
+            assert err <= 1e-9 * np.linalg.norm(ref[k], 2)
+
+    def test_rows_at_the_floor_are_kept(self):
+        rng = np.random.default_rng(32)
+        X = rng.standard_normal((40, 3))
+        beta = np.full((40, 2), _EMPTY_REL)
+        beta[:, 0] = 1.0 - _EMPTY_REL
+        params = gmm_mstep(X, beta)
+        ref, _ = dense_covs(X, beta)
+        np.testing.assert_allclose(params.covs, ref, rtol=1e-12, atol=1e-14)
+
+    def test_no_rows_names_every_column(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyComponent) as err:
+                gmm_mstep(np.zeros((0, 3)), np.zeros((0, 4)))
+        assert err.value.indices == (0, 1, 2, 3)
+
+    @pytest.mark.parametrize(
+        "beta_shape", [(9, 2), (11, 2), (10,), (10, 2, 1)]
+    )
+    def test_responsibility_shape_mismatch(self, beta_shape):
+        X = np.random.default_rng(33).standard_normal((10, 3))
+        with pytest.raises(InvalidShape):
+            gmm_mstep(X, np.full(beta_shape, 0.5))
+
+    def test_peak_memory_below_one_copy_of_the_data(self):
+        # a hard partition: each component gathers one eighth of the rows
+        rng = np.random.default_rng(34)
+        N, n, K = 20_000, 80, 8
+        X = rng.standard_normal((N, n))
+        beta = np.zeros((N, K))
+        beta[np.arange(N), np.arange(N) % K] = 1.0
+        tracemalloc.start()
+        try:
+            gmm_mstep(X, beta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes
 
 
 class TestFit:

@@ -177,6 +177,25 @@ def test_no_module_imports_scipy_linalg():
     assert offenders == []
 
 
+def test_stats_imports_no_model_module():
+    # gmm and pca_gmm build on the statistics kernel; the kernel stays below
+    # every model and solver module
+    path = Path(pcagmm.__file__).parent / "stats.py"
+    offenders = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ("." * node.level) + (node.module or "")
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            if {"gmm", "pca_gmm", "palm"} & set(name.split(".")):
+                offenders.append(f"{path.name}:{node.lineno}: {name}")
+    assert offenders == []
+
+
 class TestProjectStiefel:
     def test_fixed_point_on_manifold(self):
         U0 = random_stiefel(6, 3, seed=0)

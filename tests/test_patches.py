@@ -107,6 +107,33 @@ class TestExtractPairs:
         ps = extract_pairs(high, low, geom, max_patches=5, seed=0)
         assert ps.data.shape == (5, (2**3 + 1) * 2**3)
 
+    def test_every_row_matches_its_windows(self):
+        # a subsample of the grid large enough for several blocks of rows
+        rng = np.random.default_rng(7)
+        geom = PatchGeometry(tau=2, q=2, dims=3)
+        low = rng.random((12, 12, 12))
+        high = rng.random((24, 24, 24))
+        ps = extract_pairs(high, low, geom, max_patches=900, seed=3)
+        assert ps.count == 900
+        for origin, row in zip(ps.origins, ps.data):
+            lo = tuple(slice(o, o + 2) for o in origin)
+            hi = tuple(slice(2 * o, 2 * o + 4) for o in origin)
+            np.testing.assert_array_equal(row[:64], high[hi].ravel())
+            np.testing.assert_array_equal(row[64:], low[lo].ravel())
+
+    def test_holds_no_second_copy_of_the_pairs(self):
+        rng = np.random.default_rng(8)
+        geom = PatchGeometry(tau=4, q=2, dims=3)
+        low = rng.random((40, 40, 40))
+        high = rng.random((80, 80, 80))
+        tracemalloc.start()
+        try:
+            ps = extract_pairs(high, low, geom, max_patches=4000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * ps.data.nbytes
+
 
 class TestExtractLow:
     def test_whole_image_single_patch(self):
