@@ -22,11 +22,11 @@ from .errors import (
     UnsupportedFormat,
     VersionMismatch,
 )
-from .formats import load_model, read_image, save_model, write_image
+from .formats import load_model, model_header, read_image, save_model, write_image
 from .gmm import EmConfig, fit_gmm
 from .metrics import psnr
 from .patches import PatchGeometry, extract_pairs
-from .pca_gmm import PcaGmmModel, check_sigma, fit_pcagmm
+from .pca_gmm import check_sigma, fit_pcagmm
 from .superres import reconstruct
 
 _DATA_ERRORS = (
@@ -141,14 +141,7 @@ def _cmd_psnr(args):
 
 def _cmd_inspect(args):
     model, geom = load_model(args.model)
-    kind = "pcagmm" if isinstance(model, PcaGmmModel) else "gmm"
-    d = model.reduced_dim if kind == "pcagmm" else model.dim
-    sigma = model.sigma if kind == "pcagmm" else 0.0
-    q, tau, dims = (geom.q, geom.tau, geom.dims) if geom else (0, 0, 0)
-    print(
-        f"kind={kind} K={model.n_components} n={model.dim} d={d} "
-        f"sigma={sigma!r} q={q} tau={tau} dims={dims}"
-    )
+    print(model_header(model, geom))
     norms = np.linalg.norm(model.means, axis=1)
     for k in range(model.n_components):
         print(f"component {k:3d}  alpha={model.alpha[k]:.6e}  |mean|={norms[k]:.6e}")

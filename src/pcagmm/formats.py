@@ -5,6 +5,8 @@ Intensities are [0, 1] floats in memory. Integer image formats scale by
 their maximum sample value; writes clip to [0, 1] before quantization.
 """
 
+import dataclasses
+import math
 import struct
 
 import numpy as np
@@ -25,6 +27,18 @@ MODEL_MAGIC = b"PGMM1\n"
 VOLUME_MAGIC = b"VOL1"
 _VOL_DTYPES = {0: "<f4", 1: "<f8", 2: "u1", 3: "<u2"}
 _VOL_CODES = {np.dtype(v): k for k, v in _VOL_DTYPES.items()}
+
+# Each model kind's class and its per-component fields in payload order, with
+# their extents in the header's n and d. The payload is alpha (K), then each
+# component's fields in this order. A class's other dataclass fields are alpha
+# and, for PCA-GMM, sigma, which travels in the header.
+MODEL_KINDS = {
+    "pcagmm": (
+        PcaGmmModel,
+        {"bases": "nd", "offsets": "n", "means": "d", "covs": "dd"},
+    ),
+    "gmm": (GmmParams, {"means": "n", "covs": "nn"}),
+}
 
 
 # ---------------------------------------------------------------- images
@@ -55,6 +69,8 @@ def _parse_pgm(raw):
         raise CorruptHeader("non-numeric PGM header field") from exc
     if not 1 <= maxval <= 65535:
         raise CorruptHeader(f"PGM maxval {maxval} out of range")
+    if min(width, height) < 1:
+        raise CorruptHeader(f"PGM extents {width}x{height} are below 1")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     count = width * height
     payload = raw[pos : pos + count * dtype.itemsize]
@@ -82,6 +98,8 @@ def _parse_volume(raw):
     nx, ny, nz, code = struct.unpack("<4I", raw[4:20])
     if code not in _VOL_DTYPES:
         raise CorruptHeader(f"unknown VOL1 dtype code {code}")
+    if 0 in (nx, ny, nz):
+        raise CorruptHeader(f"VOL1 extents {nx}x{ny}x{nz} include a zero")
     dtype = np.dtype(_VOL_DTYPES[code])
     count = nx * ny * nz
     payload = raw[20:]
@@ -90,6 +108,8 @@ def _parse_volume(raw):
     data = np.frombuffer(payload, dtype=dtype).reshape(nz, ny, nx)
     if dtype.kind == "u":
         return data.astype(float) / np.iinfo(dtype).max
+    if not np.isfinite(data).all():
+        raise CorruptHeader("VOL1 float payload holds NaN or infinite samples")
     return data.astype(float)
 
 
@@ -138,8 +158,23 @@ def write_image(path, image, maxval=255, vol_dtype="<f8"):
 # ---------------------------------------------------------------- models
 
 
-def _format_float(x):
-    return repr(float(x))
+def _kind(model):
+    for kind, (cls, _) in MODEL_KINDS.items():
+        if isinstance(model, cls):
+            return kind
+    raise InvalidShape(f"unsupported model type {type(model).__name__}")
+
+
+def model_header(model, geom=None):
+    """The PGMM1 header line of a model and its patch geometry, without the
+    newline; `pcagmm inspect` prints it as its first line."""
+    d = getattr(model, "reduced_dim", model.dim)
+    sigma = float(getattr(model, "sigma", 0.0))
+    q, tau, dims = (geom.q, geom.tau, geom.dims) if geom is not None else (0, 0, 0)
+    return (
+        f"kind={_kind(model)} K={model.n_components} n={model.dim} d={d} "
+        f"sigma={sigma!r} q={q} tau={tau} dims={dims}"
+    )
 
 
 def save_model(path, model, geom=None):
@@ -148,30 +183,13 @@ def save_model(path, model, geom=None):
     Little-endian float64 payload after a human-readable key=value header
     line; the round trip is bit exact.
     """
-    if isinstance(model, PcaGmmModel):
-        kind, n, d, sigma = "pcagmm", model.dim, model.reduced_dim, model.sigma
-    elif isinstance(model, GmmParams):
-        kind, n, d, sigma = "gmm", model.dim, model.dim, 0.0
-    else:
-        raise InvalidShape(f"unsupported model type {type(model).__name__}")
     K = model.n_components
-    q, tau, dims = (geom.q, geom.tau, geom.dims) if geom is not None else (0, 0, 0)
-    header = (
-        f"kind={kind} K={K} n={n} d={d} sigma={_format_float(sigma)} "
-        f"q={q} tau={tau} dims={dims}\n"
-    )
-    chunks = [np.ascontiguousarray(model.alpha, dtype="<f8")]
-    for k in range(K):
-        if kind == "pcagmm":
-            chunks.append(np.ascontiguousarray(model.bases[k], dtype="<f8"))
-            chunks.append(np.ascontiguousarray(model.offsets[k], dtype="<f8"))
-        chunks.append(np.ascontiguousarray(model.means[k], dtype="<f8"))
-        chunks.append(np.ascontiguousarray(model.covs[k], dtype="<f8"))
+    arrays = [getattr(model, name) for name in MODEL_KINDS[_kind(model)][1]]
+    rows = np.hstack([np.asarray(a, dtype="<f8").reshape(K, -1) for a in arrays])
+    payload = np.concatenate([np.asarray(model.alpha, dtype="<f8"), rows.ravel()])
     with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(header.encode("ascii"))
-        for chunk in chunks:
-            fh.write(chunk.tobytes())
+        fh.write(MODEL_MAGIC + model_header(model, geom).encode("ascii") + b"\n")
+        fh.write(payload.tobytes())
 
 
 def load_model(path):
@@ -196,43 +214,27 @@ def load_model(path):
         q, tau, dims = int(fields["q"]), int(fields["tau"]), int(fields["dims"])
     except (KeyError, ValueError, UnicodeDecodeError) as exc:
         raise CorruptHeader("malformed model header line") from exc
-    if kind not in ("gmm", "pcagmm"):
+    if kind not in MODEL_KINDS:
         raise CorruptHeader(f"unknown model kind {kind!r}")
     if min(K, n, d) < 1:
         raise CorruptHeader(f"model header extents K={K} n={n} d={d} are below 1")
-    payload = np.frombuffer(raw[newline + 1 :], dtype="<f8")
-    per_comp = (n * d + n + d + d * d) if kind == "pcagmm" else (n + n * n)
-    if payload.size != K + K * per_comp:
+    cls, layout = MODEL_KINDS[kind]
+    extent = {"n": n, "d": d}
+    shapes = {name: [extent[axis] for axis in axes] for name, axes in layout.items()}
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    body = raw[newline + 1 :]
+    if len(body) != 8 * K * (1 + sum(sizes)):
         raise CorruptHeader("model payload length does not match the header")
 
-    alpha = payload[:K].copy()
-    pos = K
+    payload = np.frombuffer(body, dtype="<f8")
+    parts = np.split(payload[K:].reshape(K, -1), np.cumsum(sizes)[:-1], axis=1)
+    values = {
+        name: part.reshape(K, *shape).copy()
+        for (name, shape), part in zip(shapes.items(), parts)
+    }
+    values.update(alpha=payload[:K].copy(), sigma=sigma)
+    model = cls(**{f.name: values[f.name] for f in dataclasses.fields(cls)})
     geom = PatchGeometry(tau=tau, q=q, dims=dims) if q else None
-    if kind == "gmm":
-        means = np.empty((K, n))
-        covs = np.empty((K, n, n))
-        for k in range(K):
-            means[k] = payload[pos : pos + n]
-            pos += n
-            covs[k] = payload[pos : pos + n * n].reshape(n, n)
-            pos += n * n
-        return _validated(GmmParams(alpha=alpha, means=means, covs=covs)), geom
-    bases = np.empty((K, n, d))
-    offsets = np.empty((K, n))
-    means = np.empty((K, d))
-    covs = np.empty((K, d, d))
-    for k in range(K):
-        bases[k] = payload[pos : pos + n * d].reshape(n, d)
-        pos += n * d
-        offsets[k] = payload[pos : pos + n]
-        pos += n
-        means[k] = payload[pos : pos + d]
-        pos += d
-        covs[k] = payload[pos : pos + d * d].reshape(d, d)
-        pos += d * d
-    model = PcaGmmModel(
-        alpha=alpha, bases=bases, offsets=offsets, means=means, covs=covs, sigma=sigma
-    )
     return _validated(model), geom
 
 

@@ -16,6 +16,8 @@ def psnr(reference, test):
         raise InvalidShape(
             f"shape mismatch {reference.shape} vs {test.shape}"
         )
+    if reference.size == 0:
+        raise InvalidShape(f"psnr of empty images of shape {reference.shape}")
     mse = float(np.mean((reference - test) ** 2))
     if mse == 0.0:
         return float("inf")

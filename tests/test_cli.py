@@ -10,6 +10,9 @@ import pcagmm
 from pcagmm.cli import main
 from pcagmm.formats import load_model, read_image, save_model, write_image
 from pcagmm.gmm import GmmParams
+from pcagmm.linalg import random_stiefel
+from pcagmm.patches import PatchGeometry
+from pcagmm.pca_gmm import PcaGmmModel
 
 
 @pytest.fixture()
@@ -109,6 +112,30 @@ class TestTrainSuperresPsnr:
         out = capsys.readouterr().out
         assert "kind=pcagmm" in out and "q=2 tau=3 dims=2" in out
         assert out.count("alpha=") == 2 and "|mean|=" in out
+
+    @pytest.mark.parametrize("kind", ["gmm", "pcagmm"])
+    @pytest.mark.parametrize("geom", [None, PatchGeometry(tau=3, q=2, dims=3)])
+    def test_inspect_first_line_is_the_header_line(self, tmp_path, capsys, kind, geom):
+        alpha = np.array([0.25, 0.75])
+        if kind == "gmm":
+            model = GmmParams(
+                alpha=alpha, means=np.ones((2, 3)), covs=np.stack([np.eye(3)] * 2)
+            )
+        else:
+            model = PcaGmmModel(
+                alpha=alpha,
+                bases=np.stack([random_stiefel(5, 2, seed=s) for s in (1, 2)]),
+                offsets=np.ones((2, 5)),
+                means=np.zeros((2, 2)),
+                covs=np.stack([np.eye(2)] * 2),
+                sigma=0.3,
+            )
+        path = tmp_path / "m.pgmm"
+        save_model(path, model, geom)
+        raw = path.read_bytes()
+        assert run("inspect", "--model", path) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == raw[6 : raw.index(b"\n", 6)].decode("ascii")
 
     @pytest.mark.parametrize("optimize", [[], ["-O"]])
     def test_invalid_weights_are_data_error(self, tmp_path, optimize):
@@ -221,6 +248,27 @@ class TestTrainSuperresPsnr:
         assert "sigma" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_model_payload_of_odd_length_is_data_error(self, tmp_path):
+        model = tmp_path / "m.pgmm"
+        save_model(
+            model,
+            GmmParams(alpha=np.array([1.0]), means=np.zeros((1, 2)), covs=np.eye(2)[None]),
+        )
+        model.write_bytes(model.read_bytes()[:-3])
+        proc = run_process("inspect", "--model", model)
+        assert proc.returncode == 3, proc.stderr
+        assert "payload length" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_zero_extent_image_is_data_error(self, scene):
+        tmp, high = scene
+        empty = tmp / "empty.pgm"
+        empty.write_bytes(b"P5\n0 4\n255\n")
+        proc = run_process("psnr", "--ref", empty, "--test", empty)
+        assert proc.returncode == 3, proc.stderr
+        assert "below 1" in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
     def test_psnr_shape_mismatch_is_data_error(self, scene):
         tmp, high = scene
         low = tmp / "low.pgm"
@@ -290,3 +338,17 @@ class TestVolumePipeline:
                    "--seed", 0) == 0
         assert run("superres", "--low", low, "--model", model, "--output", out) == 0
         assert read_image(out).shape == (16, 16, 16)
+
+    def test_non_finite_voxel_is_data_error(self, tmp_path):
+        volume = np.random.default_rng(6).random((16, 16, 16))
+        volume[3, 4, 5] = np.nan
+        high, low = tmp_path / "high.vol", tmp_path / "low.vol"
+        write_image(high, volume)
+        write_image(low, volume[::2, ::2, ::2])
+        proc = run_process("train", "--high", high, "--low", low,
+                           "--model", tmp_path / "m.pgmm", "--components", 2,
+                           "--tau", 2, "--factor", 2, "--reduced-dim", 4,
+                           "--em-iters", 1)
+        assert proc.returncode == 3, proc.stderr
+        assert "NaN or infinite" in proc.stderr
+        assert "Traceback" not in proc.stderr

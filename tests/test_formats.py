@@ -1,3 +1,6 @@
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from pcagmm.errors import (
     UnsupportedFormat,
     VersionMismatch,
 )
-from pcagmm.formats import load_model, read_image, save_model, write_image
+from pcagmm.formats import MODEL_KINDS, load_model, read_image, save_model, write_image
 from pcagmm.gmm import GmmParams
 from pcagmm.linalg import random_stiefel
 from pcagmm.patches import PatchGeometry
@@ -80,6 +83,13 @@ class TestPgm:
         with pytest.raises(CorruptHeader):
             read_image(path)
 
+    @pytest.mark.parametrize("extents", [b"0 4", b"4 0", b"0 0", b"-2 -2"])
+    def test_zero_extent(self, tmp_path, extents):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(b"P5\n" + extents + b"\n255\n")
+        with pytest.raises(CorruptHeader, match="below 1"):
+            read_image(path)
+
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "x.pgm"
         path.write_bytes(b"P6\n1 1\n255\n\x00")
@@ -124,6 +134,23 @@ class TestVolume:
         write_image(path, np.zeros((2, 2, 2)))
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(CorruptHeader):
+            read_image(path)
+
+    @pytest.mark.parametrize("extents", [(0, 3, 2), (4, 0, 2), (4, 3, 0)])
+    def test_zero_extent(self, tmp_path, extents):
+        path = tmp_path / "v.vol"
+        path.write_bytes(b"VOL1" + struct.pack("<4I", *extents, 1))
+        with pytest.raises(CorruptHeader, match="zero"):
+            read_image(path)
+
+    @pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_samples(self, tmp_path, dtype, value):
+        volume = np.zeros((2, 3, 4))
+        volume[1, 2, 0] = value
+        path = tmp_path / "v.vol"
+        write_image(path, volume, vol_dtype=dtype)
+        with pytest.raises(CorruptHeader, match="NaN or infinite"):
             read_image(path)
 
     def test_wrong_magic(self, tmp_path):
@@ -236,12 +263,41 @@ class TestModelFile:
         with pytest.raises(CorruptHeader):
             load_model(path)
 
-    def test_payload_length_check(self, tmp_path):
+    @pytest.mark.parametrize("change", [-1, -3, -8, 5])
+    def test_payload_length_check(self, tmp_path, change):
+        # the byte count is compared before the payload is decoded as float64
         path = tmp_path / "m.pgmm"
         save_model(path, random_gmm(np.random.default_rng(7), 2, 4))
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(CorruptHeader):
+        raw = path.read_bytes()
+        path.write_bytes(raw[:change] if change < 0 else raw + bytes(change))
+        with pytest.raises(CorruptHeader, match="payload length"):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "kind, order",
+        [("pcagmm", ["bases", "offsets", "means", "covs"]), ("gmm", ["means", "covs"])],
+    )
+    def test_layout_alpha_then_components(self, tmp_path, kind, order):
+        rng = np.random.default_rng(9)
+        K = 3
+        if kind == "pcagmm":
+            model = random_pcagmm(rng, K, 4, 2)
+        else:
+            model = random_gmm(rng, K, 4)
+        start = 0.0
+        for name in ["alpha", *order]:
+            shape = getattr(model, name).shape
+            size = int(np.prod(shape))
+            setattr(model, name, np.arange(start, start + size).reshape(shape))
+            start += size
+        path = tmp_path / "m.pgmm"
+        save_model(path, model)
+        raw = path.read_bytes()
+        payload = np.frombuffer(raw[raw.index(b"\n", 6) + 1 :], dtype="<f8")
+        expected = [model.alpha] + [
+            getattr(model, name)[k].ravel() for k in range(K) for name in order
+        ]
+        np.testing.assert_array_equal(payload, np.concatenate(expected))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_roundtrips(self, tmp_path, seed):
@@ -264,3 +320,11 @@ class TestModelFile:
             np.testing.assert_array_equal(loaded.means, model.means)
             np.testing.assert_array_equal(loaded.covs, model.covs)
         np.testing.assert_array_equal(loaded.alpha, model.alpha)
+
+
+def test_model_kinds_name_every_dataclass_field():
+    # a model field without a table entry would be dropped from the file
+    for kind, (cls, layout) in MODEL_KINDS.items():
+        fields = {f.name for f in dataclasses.fields(cls)} - {"alpha", "sigma"}
+        assert set(layout) == fields, kind
+        assert set("".join(layout.values())) <= {"n", "d"}, kind

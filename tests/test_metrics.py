@@ -36,6 +36,11 @@ class TestPsnr:
         with pytest.raises(InvalidShape):
             psnr(np.zeros((2, 2)), np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("shape", [(0,), (4, 0), (0, 3, 2)])
+    def test_empty_inputs(self, shape):
+        with pytest.raises(InvalidShape, match="empty"):
+            psnr(np.zeros(shape), np.zeros(shape))
+
 
 class TestBicubic:
     def test_constant(self):
