@@ -4,12 +4,14 @@ application to patch-based superresolution of images and volumes."""
 from .degrade import degrade, dft_downsample, gauss_blur
 from .errors import (
     CorruptHeader,
+    DataError,
     DegenerateDensity,
     EmptyComponent,
     InvalidParameter,
     InvalidShape,
     LineSearchFailed,
     NotPositiveDefinite,
+    NumericalFailure,
     PcagmmError,
     RankDeficient,
     UncoveredPixel,
@@ -32,7 +34,6 @@ from .linalg import (
     logdet_spd,
     project_stiefel,
     random_stiefel,
-    solve_spd,
 )
 from .metrics import bicubic_upsample, nearest_upsample, psnr
 from .palm import (
@@ -57,7 +58,6 @@ from .pca_gmm import (
 from .stats import SufficientStats, accumulate_stats
 from .superres import (
     ConditionalBlocks,
-    conditional_covariance,
     mmse_patch,
     precompute_conditionals,
     reconstruct,

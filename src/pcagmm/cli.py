@@ -9,41 +9,13 @@ import sys
 import numpy as np
 
 from .degrade import degrade
-from .errors import (
-    CorruptHeader,
-    DegenerateDensity,
-    EmptyComponent,
-    InvalidParameter,
-    InvalidShape,
-    LineSearchFailed,
-    NotPositiveDefinite,
-    RankDeficient,
-    UncoveredPixel,
-    UnsupportedFormat,
-    VersionMismatch,
-)
+from .errors import CorruptHeader, DataError, InvalidParameter, NumericalFailure
 from .formats import load_model, model_header, read_image, save_model, write_image
 from .gmm import EmConfig, fit_gmm
 from .metrics import psnr
 from .patches import PatchGeometry, extract_pairs
 from .pca_gmm import check_sigma, fit_pcagmm
 from .superres import reconstruct
-
-_DATA_ERRORS = (
-    UnsupportedFormat,
-    CorruptHeader,
-    VersionMismatch,
-    InvalidShape,
-    OSError,
-)
-_NUMERIC_ERRORS = (
-    NotPositiveDefinite,
-    RankDeficient,
-    DegenerateDensity,
-    EmptyComponent,
-    LineSearchFailed,
-    UncoveredPixel,
-)
 
 # default training patch budget for volumes; 2D enumerates exhaustively
 _MAX_PATCHES_3D = 1_000_000
@@ -204,10 +176,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _DATA_ERRORS as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except _NUMERIC_ERRORS as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

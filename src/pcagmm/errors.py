@@ -5,27 +5,35 @@ class PcagmmError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidShape(PcagmmError):
+class DataError(PcagmmError):
+    """An input, parameter or file is not acceptable (exit code 3)."""
+
+
+class NumericalFailure(PcagmmError):
+    """A computation on acceptable input broke down (exit code 4)."""
+
+
+class InvalidShape(DataError):
     """Array dimensions are inconsistent with the requested operation."""
 
 
-class NotPositiveDefinite(PcagmmError):
+class NotPositiveDefinite(NumericalFailure):
     """A matrix required to be symmetric positive definite failed to factor."""
 
 
-class RankDeficient(PcagmmError):
+class RankDeficient(NumericalFailure):
     """A matrix required to have full column rank is numerically singular."""
 
 
-class InvalidParameter(PcagmmError):
+class InvalidParameter(DataError):
     """A model parameter violates an invariant other than its shape."""
 
 
-class DegenerateDensity(PcagmmError):
+class DegenerateDensity(NumericalFailure):
     """Every mixture component assigns zero density to some sample."""
 
 
-class EmptyComponent(PcagmmError):
+class EmptyComponent(NumericalFailure):
     """A mixture component received numerically zero total responsibility."""
 
     def __init__(self, indices=()):
@@ -36,22 +44,22 @@ class EmptyComponent(PcagmmError):
         super().__init__(msg)
 
 
-class LineSearchFailed(PcagmmError):
+class LineSearchFailed(NumericalFailure):
     """Backtracking exhausted its budget; gradient or problem is degenerate."""
 
 
-class UncoveredPixel(PcagmmError):
+class UncoveredPixel(NumericalFailure):
     """Some output pixel gets zero total weight during aggregation: no patch
     covers it, or the patch weights underflow to zero on it."""
 
 
-class UnsupportedFormat(PcagmmError):
+class UnsupportedFormat(DataError):
     """File extension or magic number is not one of the supported formats."""
 
 
-class CorruptHeader(PcagmmError):
+class CorruptHeader(DataError):
     """File header or payload is malformed or truncated."""
 
 
-class VersionMismatch(PcagmmError):
+class VersionMismatch(DataError):
     """Model file carries an unsupported format version."""

@@ -144,9 +144,12 @@ def read_image(path):
 
 def write_image(path, image, maxval=255, vol_dtype="<f8"):
     """Write a 2D image to .pgm (clipped and quantized) or a 3D volume to
-    .vol (float64 by default, hence lossless)."""
+    .vol (float64 by default, hence lossless). Both readers reject a zero
+    extent, so an empty image is rejected before the file is opened."""
     path = str(path)
     image = np.asarray(image, dtype=float)
+    if 0 in image.shape:
+        raise InvalidShape(f"cannot write an image with extents {image.shape}")
     if path.endswith(".pgm"):
         _write_pgm(path, image, maxval)
     elif path.endswith(".vol"):

@@ -85,13 +85,6 @@ def solve_triangular(a, b, lower=False):
     return np.linalg.solve(a, b)
 
 
-def solve_spd(M, B):
-    """Solve M X = B for symmetric positive definite M via Cholesky."""
-    L = cholesky_spd(M)
-    Y = solve_triangular(L, B, lower=True)
-    return solve_triangular(L.T, Y, lower=False)
-
-
 def project_stiefel(A):
     """Orthonormal polar factor of A, the nearest point with orthonormal columns.
 

@@ -77,13 +77,12 @@ class MStepProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budget and extrapolation of the solver."""
+    """Iteration budget of the solver."""
 
     max_iters: int = 100
-    extrapolation: str = "dynamic"  # "none" or "dynamic", (r-1)/(r+2)
 
     def __post_init__(self):
-        if not (self.max_iters >= 1 and self.extrapolation in ("none", "dynamic")):
+        if not self.max_iters >= 1:
             raise InvalidParameter(f"invalid solver configuration {self}")
 
 
@@ -257,13 +256,9 @@ def ipalm_minimize(problem, U0, b0, config=None):
     """Inertial variant with extrapolation factor (r-1)/(r+2) per block.
 
     An extrapolated step that would increase G is recomputed as a plain
-    backtracked step, so the returned trace is nonincreasing as well. With
-    extrapolation="none" this is exactly palm_minimize.
+    backtracked step, so the returned trace is nonincreasing as well.
     """
-    config = config or SolverConfig()
-    return _minimize(
-        problem, U0, b0, config, inertial=(config.extrapolation == "dynamic")
-    )
+    return _minimize(problem, U0, b0, config or SolverConfig(), inertial=True)
 
 
 def _minimize(problem, U0, b0, config, inertial):

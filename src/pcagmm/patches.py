@@ -64,15 +64,12 @@ class PatchSet:
         return self.data.shape[0]
 
 
-def _origin_grid(extents, tau, stride, force_last=False):
+def _origin_grid(extents, tau, stride):
     axes = []
     for ext in extents:
         if ext < tau:
             raise InvalidShape(f"extent {ext} smaller than patch edge {tau}")
-        ax = list(range(0, ext - tau + 1, stride))
-        if force_last and ax[-1] != ext - tau:
-            ax.append(ext - tau)
-        axes.append(np.asarray(ax, dtype=np.intp))
+        axes.append(np.arange(0, ext - tau + 1, stride, dtype=np.intp))
     return axes
 
 
@@ -120,14 +117,13 @@ def extract_pairs(high, low, geom, stride=1, max_patches=None, seed=None):
     return PatchSet(data=data, origins=origins)
 
 
-def extract_low(image, tau, stride=1):
-    """Enumerate low-resolution patches with their origins recorded for
-    aggregation. The last valid origin per axis is always included so stride
-    choices never lose image borders."""
+def extract_low(image, tau):
+    """Enumerate the stride-one low-resolution patches of an image, all at
+    once, with their origins recorded for aggregation."""
     image = np.asarray(image, dtype=float)
     if image.ndim not in (2, 3):
         raise InvalidShape(f"expected a 2D or 3D image, got {image.ndim}D")
-    axes = _origin_grid(image.shape, tau, stride, force_last=True)
+    axes = _origin_grid(image.shape, tau, 1)
     mesh = np.meshgrid(*axes, indexing="ij")
     origins = np.stack([m.ravel() for m in mesh], axis=1)
     windows = sliding_window_view(image, (tau,) * image.ndim)

@@ -183,7 +183,10 @@ def pcagmm_estep(model, X):
     return beta
 
 
-def recover_component(stats, basis, offset, weight_floor=1e-12):
+_WEIGHT_FLOOR = 1e-12  # total responsibility below which a component is empty
+
+
+def recover_component(stats, basis, offset):
     """Reduced mean and covariance implied by the optimized frame and offset.
 
     The covariance is the offset-centered second moment projected into the
@@ -192,7 +195,7 @@ def recover_component(stats, basis, offset, weight_floor=1e-12):
     norm of the returned mean measures how far the offset optimization is
     from absorbing the subspace component of the data mean.
     """
-    if stats.weight < weight_floor:
+    if stats.weight < _WEIGHT_FLOOR:
         raise EmptyComponent()
     w = stats.weight
     projected, resid, _ = FrameMoments(stats, basis).about(offset)

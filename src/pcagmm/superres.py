@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import InvalidShape, NotPositiveDefinite
 from .gmm import GmmParams, _log_scores, _whitening
-from .linalg import regularize_spd, solve_spd, solve_triangular, try_cholesky
+from .linalg import regularize_spd, solve_triangular, try_cholesky
 
 # aggregate and extract_low are re-exported where the benchmark's tracer looks them up.
 from .patches import OverlapAdd, aggregate, extract_low, low_patch_tiles
@@ -141,15 +141,6 @@ def mmse_patch(blocks, k, x_low):
     return blocks.mean_high[k] + blocks.gain[k] @ (
         np.asarray(x_low, dtype=float) - blocks.mean_low[k]
     )
-
-
-def conditional_covariance(model, geom, k):
-    """Covariance of the high block given the low block, for diagnostics."""
-    nh = geom.n_high
-    _, cov = _lifted_moments(model, k)
-    cov_low = regularize_spd(cov[nh:, nh:])
-    cross = cov[:nh, nh:]
-    return cov[:nh, :nh] - cross @ solve_spd(cov_low, cross.T)
 
 
 def reconstruct(low, model, geom, gamma=0.1):

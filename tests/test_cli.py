@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import pcagmm
+from pcagmm import cli
 from pcagmm.cli import main
+from pcagmm.errors import DataError, EmptyComponent, NumericalFailure, PcagmmError
 from pcagmm.formats import load_model, read_image, save_model, write_image
 from pcagmm.gmm import GmmParams
 from pcagmm.linalg import random_stiefel
@@ -314,6 +316,28 @@ class TestArgumentErrors:
             run(command, *required, flag, value)
         assert err.value.code == 2
         assert f"argument {flag}: invalid" in capsys.readouterr().err
+
+
+def _leaf_errors(cls=PcagmmError):
+    subclasses = cls.__subclasses__()
+    if not subclasses:
+        return [cls]
+    return [leaf for sub in subclasses for leaf in _leaf_errors(sub)]
+
+
+@pytest.mark.parametrize("error", _leaf_errors(), ids=lambda cls: cls.__name__)
+def test_exit_code_follows_error_category(monkeypatch, capsys, error):
+    assert issubclass(error, DataError) != issubclass(error, NumericalFailure)
+    exc = error((7,)) if error is EmptyComponent else error("injected failure")
+
+    def fail(path):
+        raise exc
+
+    monkeypatch.setattr(cli, "read_image", fail)
+    code = run("psnr", "--ref", "a.pgm", "--test", "b.pgm")
+    assert code == (3 if issubclass(error, DataError) else 4)
+    err = capsys.readouterr().err
+    assert str(exc) in err and "Traceback" not in err
 
 
 class TestVolumePipeline:

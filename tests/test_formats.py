@@ -7,6 +7,7 @@ import pytest
 from pcagmm.errors import (
     CorruptHeader,
     InvalidParameter,
+    InvalidShape,
     UnsupportedFormat,
     VersionMismatch,
 )
@@ -158,6 +159,17 @@ class TestVolume:
         path.write_bytes(b"VOL9" + bytes(16))
         with pytest.raises(UnsupportedFormat):
             read_image(path)
+
+
+@pytest.mark.parametrize(
+    "name, shape", [("x.pgm", (4, 0)), ("x.pgm", (0, 0)), ("v.vol", (2, 0, 3))]
+)
+def test_write_rejects_zero_extent(tmp_path, name, shape):
+    # both readers reject a zero extent, so the writer must not produce one
+    path = tmp_path / name
+    with pytest.raises(InvalidShape, match="extents"):
+        write_image(path, np.zeros(shape))
+    assert not path.exists()
 
 
 class TestModelFile:

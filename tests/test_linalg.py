@@ -12,7 +12,6 @@ from pcagmm.linalg import (
     logdet_spd,
     project_stiefel,
     random_stiefel,
-    solve_spd,
     solve_triangular,
     stiefel_defect,
 )
@@ -93,24 +92,6 @@ class TestLogdet:
         assert logdet_spd(M) == pytest.approx(np.log(det), rel=1e-10)
 
 
-class TestSolve:
-    def test_identity(self):
-        B = np.arange(6.0).reshape(3, 2)
-        np.testing.assert_allclose(solve_spd(np.eye(3), B), B)
-
-    def test_diagonal(self):
-        x = solve_spd(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
-        np.testing.assert_allclose(x, [1.0, 1.0])
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_residual(self, seed):
-        rng = np.random.default_rng(seed)
-        M = random_spd(rng, 7)
-        B = rng.standard_normal((7, 3))
-        X = solve_spd(M, B)
-        assert np.linalg.norm(M @ X - B) <= 1e-9 * np.linalg.norm(B)
-
-
 class TestSolveTriangular:
     """The numpy-based solve against scipy's triangular solve as reference."""
 
@@ -175,6 +156,30 @@ def test_no_module_imports_scipy_linalg():
                    for name in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_unreferenced_imports_are_only_the_traced_reexports():
+    # the benchmark's tracer looks these three names up in the importing
+    # module; any other module-level import a module never uses is left over
+    # from deleted code, and an entry here that is used again is stale
+    unused = set()
+    for path in sorted(Path(pcagmm.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {f"{path.stem}.{name}" for name in imported - used}
+    assert unused == {
+        "pca_gmm.palm_minimize",
+        "superres.aggregate",
+        "superres.extract_low",
+    }
 
 
 def test_stats_imports_no_model_module():

@@ -12,7 +12,6 @@ from pcagmm.errors import InvalidShape, LineSearchFailed, NotPositiveDefinite
 from pcagmm.linalg import logdet_spd, random_stiefel
 from pcagmm.palm import (
     MStepProblem,
-    SolverConfig,
     eval_G,
     grad_G_U,
     grad_G_b,
@@ -356,18 +355,6 @@ class TestPalm:
 
 
 class TestIpalm:
-    def test_none_extrapolation_is_bitwise_palm(self):
-        rng = np.random.default_rng(3)
-        problem, _, _ = make_problem(rng, 6)
-        U0 = random_stiefel(6, 2, seed=4)
-        b0 = rng.standard_normal(6)
-        cfg = SolverConfig(extrapolation="none")
-        U1, b1, t1 = palm_minimize(problem, U0, b0, cfg)
-        U2, b2, t2 = ipalm_minimize(problem, U0, b0, cfg)
-        np.testing.assert_array_equal(t1, t2)
-        np.testing.assert_array_equal(U1, U2)
-        np.testing.assert_array_equal(b1, b2)
-
     def test_closed_form_within_twice_palm_iterations(self):
         problem = closed_form_problem()
 
@@ -392,7 +379,7 @@ class TestIpalm:
 
 # each bad input and the error it must raise, with python -O as well
 BAD_INPUTS = {
-    "SolverConfig(max_iters=0, extrapolation='bogus')": "InvalidParameter",
+    "SolverConfig(max_iters=0)": "InvalidParameter",
     "MStepProblem(stats=STATS, sigma=0.0)": "InvalidParameter",
     "palm_minimize(MStepProblem(stats=STATS, sigma=1.0), np.zeros((2, 3)), "
     "np.zeros(2))": "InvalidShape",

@@ -142,20 +142,6 @@ class TestExtractLow:
         assert ps.count == 1
         np.testing.assert_array_equal(ps.data[0], x.ravel())
 
-    def test_stride_grid(self):
-        x = np.random.default_rng(7).random((6, 6))
-        ps = extract_low(x, 4, stride=2)
-        assert ps.count == 4
-        np.testing.assert_array_equal(
-            sorted(map(tuple, ps.origins)), [(0, 0), (0, 2), (2, 0), (2, 2)]
-        )
-
-    def test_forced_last_origin(self):
-        x = np.random.default_rng(8).random((7, 7))
-        ps = extract_low(x, 4, stride=2)
-        axes = sorted(set(o[0] for o in ps.origins))
-        assert axes == [0, 2, 3]  # 3 = 7 - 4 appended
-
     def test_roundtrip_rewrite(self):
         x = np.random.default_rng(9).random((10, 12))
         ps = extract_low(x, 4)

@@ -13,7 +13,6 @@ from pcagmm.patches import PatchGeometry, aggregate, extract_low, extract_pairs
 from pcagmm.pca_gmm import PcaGmmModel, lift_component
 from pcagmm.superres import (
     _selection_scores,
-    conditional_covariance,
     mmse_patch,
     precompute_conditionals,
     reconstruct,
@@ -226,17 +225,6 @@ class TestMmse:
             - 2.0 * mmse_patch(blocks, 1, 0.5 * (a + b))
         )
         assert np.linalg.norm(combo) <= 1e-10
-
-    def test_conditional_covariance_psd_and_shrinks(self):
-        rng = np.random.default_rng(8)
-        model = random_reduced(rng, 1, GEOM.n_joint, 3)
-        cov = conditional_covariance(model, GEOM, 0)
-        evals = np.linalg.eigvalsh(0.5 * (cov + cov.T))
-        assert evals.min() >= -1e-10
-        lifted = lift_component(
-            model.bases[0], model.offsets[0], model.means[0], model.covs[0], model.sigma
-        )
-        assert np.trace(cov) <= np.trace(lifted.cov[: GEOM.n_high, : GEOM.n_high]) + 1e-12
 
 
 class TestReconstruct:
