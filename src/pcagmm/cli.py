@@ -89,6 +89,10 @@ def _cmd_train(args):
         print(f"iter {it:3d}  objective {value:.6f}")
     if trace.n_reseeds:
         print(f"reseeded {trace.n_reseeds} starved component(s)")
+    if trace.stop == "rise":
+        it = len(trace.objective) - 1
+        rise = trace.objective[-1] - trace.objective[-2]
+        print(f"stopped at iter {it}: objective rose by {rise:.6g}")
     save_model(args.model, model, geom)
     print(f"saved {args.kind} model to {args.model}")
     return 0

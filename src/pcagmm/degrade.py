@@ -4,7 +4,7 @@ downsampling, additive white noise. Works on 2D images and 3D volumes."""
 import numpy as np
 from scipy.ndimage import convolve1d
 
-from .errors import InvalidShape
+from .errors import InvalidParameter, InvalidShape
 
 
 def _gauss_kernel(std):
@@ -17,8 +17,8 @@ def _gauss_kernel(std):
 def gauss_blur(x, std):
     """Separable convolution with a normalized truncated Gaussian kernel
     (radius ceil(4 std)), periodic boundary handling on every axis."""
-    if std <= 0.0:
-        raise InvalidShape(f"blur std must be positive, got {std}")
+    if not (np.isfinite(std) and std > 0.0):
+        raise InvalidShape(f"blur std must be finite and positive, got {std}")
     out = np.asarray(x, dtype=float)
     kernel = _gauss_kernel(std)
     for axis in range(out.ndim):
@@ -64,6 +64,8 @@ def degrade(x, q, blur_std=0.5, noise_std=0.02, seed=None):
     noise. Deterministic for a fixed seed; the output is not clipped so the
     noiseless operator stays exactly linear."""
     x = np.asarray(x, dtype=float)
+    if not (np.isfinite(noise_std) and noise_std >= 0.0):
+        raise InvalidParameter(f"noise std must be finite and >= 0, got {noise_std}")
     if q < 2:
         raise InvalidShape(f"downsampling factor must be >= 2, got {q}")
     for m in x.shape:

@@ -67,9 +67,13 @@ class EmConfig:
 @dataclass
 class EmTrace:
     """Objective value before the first update and after every iteration,
-    with the per-component mean norms at the same points."""
+    with the per-component mean norms at the same points, and why EM stopped:
+    "tolerance" (the last decrease fell below the tolerance), "rise" (the
+    objective rose by more than the tolerance; EM stops there too) or
+    "max_iters"."""
 
     objective: np.ndarray
+    stop: str
     n_reseeds: int = 0
     mean_norms: np.ndarray | None = None
 
@@ -247,9 +251,11 @@ def _run_em(X, model, log_joint, mstep, reset, config):
     One density pass per iteration serves both the responsibilities and the
     objective entry. The trace holds the objective of the initial model and
     of the model after every update; it is nonincreasing up to floating-point
-    reduction order except across reseeds. Before an update, every starved
-    component is reset onto one of the worst-explained samples with weight
-    1/K before renormalization.
+    reduction order except across reseeds. EM stops when the objective
+    decreases by less than the tolerance, which includes any rise, or after
+    config.max_iters updates; the trace's stop field says which. Before an
+    update, every starved component is reset onto one of the worst-explained
+    samples with weight 1/K before renormalization.
     """
     N = X.shape[0]
     objective = []
@@ -261,9 +267,12 @@ def _run_em(X, model, log_joint, mstep, reset, config):
         mean_norms.append(np.linalg.norm(model.means, axis=1))
         if len(objective) > 1:
             prev = objective[-2]
-            if prev - objective[-1] < config.tol * max(abs(prev), 1.0):
+            band = config.tol * max(abs(prev), 1.0)
+            if prev - objective[-1] < band:
+                stop = "rise" if objective[-1] - prev > band else "tolerance"
                 break
         if len(objective) > config.max_iters:
+            stop = "max_iters"
             break
         starved = np.flatnonzero(beta.sum(axis=0) < _EMPTY_REL * N)
         if starved.size:
@@ -277,6 +286,7 @@ def _run_em(X, model, log_joint, mstep, reset, config):
         model = mstep(model, X, beta)
     return model, EmTrace(
         objective=np.asarray(objective),
+        stop=stop,
         n_reseeds=n_reseeds,
         mean_norms=np.asarray(mean_norms),
     )

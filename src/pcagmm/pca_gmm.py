@@ -5,7 +5,8 @@ affine subspace (orthonormal frame U, offset b) plus isotropic residual
 noise of scale sigma off the subspace. Such a component is equivalent to a
 full-dimensional Gaussian with mean U mu + b and covariance
 U Sigma U^T + sigma^2 (I - U U^T); all mixture computations stay in the
-reduced dimension and only the lifting below ever forms the n x n form.
+reduced dimension. lift_component below forms that n x n covariance as a
+reference; no production path calls it.
 """
 
 from dataclasses import dataclass

@@ -12,7 +12,7 @@ from .linalg import regularize_spd, solve_triangular, try_cholesky
 
 # aggregate and extract_low are re-exported where the benchmark's tracer looks them up.
 from .patches import OverlapAdd, aggregate, extract_low, low_patch_tiles
-from .pca_gmm import PcaGmmModel, lift_component
+from .pca_gmm import PcaGmmModel
 
 _TILE_BYTES = 4 << 20  # estimates that reconstruct holds at once
 
@@ -48,22 +48,34 @@ class ConditionalBlocks:
     valid: np.ndarray
 
 
-def _lifted_moments(model, k):
+def _conditioning_moments(model, k, nh):
+    """Mean, low covariance block C_LL and cross-block factors (A, R) of
+    component k, with C_HL = A R^T, or C_HL = R^T when A is None.
+
+    A subspace component is read from its reduced parameters: with
+    D = Sigma - sigma^2 I, C = sigma^2 I + U D U^T, so C_LL = sigma^2 I +
+    U_L D U_L^T and C_HL = U_H (U_L D)^T, and R has d columns instead of
+    n_high. No n x n array is formed.
+    """
     if isinstance(model, PcaGmmModel):
-        lifted = lift_component(
-            model.bases[k],
-            model.offsets[k],
-            model.means[k],
-            model.covs[k],
-            model.sigma,
-        )
-        return lifted.mean, lifted.cov
-    return model.means[k], model.covs[k]
+        U = model.bases[k]
+        sigma2 = model.sigma**2
+        ul_d = U[nh:] @ (model.covs[k] - sigma2 * np.eye(U.shape[1]))
+        cov_low = ul_d @ U[nh:].T
+        cov_low.flat[:: cov_low.shape[0] + 1] += sigma2
+        cov_low = 0.5 * (cov_low + cov_low.T)
+        return U @ model.means[k] + model.offsets[k], cov_low, U[:nh], ul_d
+    cov = model.covs[k]
+    return model.means[k], cov[nh:, nh:], None, cov[:nh, nh:].T
 
 
 def precompute_conditionals(model, geom):
-    """Lift every component, partition it into high/low blocks matching the
-    joint patch layout, and factor and whiten the low blocks once.
+    """Partition every component into high/low blocks matching the joint
+    patch layout, and factor and whiten the low blocks once.
+
+    A subspace component's blocks come straight from its reduced parameters
+    (see _conditioning_moments), so no n x n covariance is formed; the gain
+    C_HL C_LL^{-1} then costs a solve with d right-hand sides.
 
     A component whose low block stays indefinite even after regularization is
     excluded from selection with a warning instead of aborting.
@@ -88,8 +100,7 @@ def precompute_conditionals(model, geom):
         valid=np.zeros(K, dtype=bool),
     )
     for k in range(K):
-        mean, cov = _lifted_moments(model, k)
-        cov_low = cov[nh:, nh:]
+        mean, cov_low, left, right = _conditioning_moments(model, k, nh)
         L = try_cholesky(cov_low)
         if L is None:
             try:
@@ -99,11 +110,11 @@ def precompute_conditionals(model, geom):
         if L is None:
             warnings.warn(f"excluding component {k}: low block not positive definite")
             continue
-        cross = cov[:nh, nh:]
-        # gain = cross @ cov_low^{-1} through the factor
-        blocks.gain[k] = solve_triangular(
-            L.T, solve_triangular(L, cross.T, lower=True), lower=False
-        ).T
+        # gain = C_HL C_LL^{-1} = A (C_LL^{-1} R)^T through the factor
+        solved = solve_triangular(
+            L.T, solve_triangular(L, right, lower=True), lower=False
+        )
+        blocks.gain[k] = solved.T if left is None else left @ solved.T
         blocks.mean_high[k] = mean[:nh]
         blocks.mean_low[k] = mean[nh:]
         (

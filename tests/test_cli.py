@@ -11,7 +11,7 @@ from pcagmm import cli
 from pcagmm.cli import main
 from pcagmm.errors import DataError, EmptyComponent, NumericalFailure, PcagmmError
 from pcagmm.formats import load_model, read_image, save_model, write_image
-from pcagmm.gmm import GmmParams
+from pcagmm.gmm import EmTrace, GmmParams
 from pcagmm.linalg import random_stiefel
 from pcagmm.patches import PatchGeometry
 from pcagmm.pca_gmm import PcaGmmModel
@@ -89,6 +89,24 @@ class TestTrainSuperresPsnr:
         lines = capsys.readouterr().out.strip().splitlines()
         final = [l for l in lines if l.startswith("psnr=")]
         assert final and float(final[-1].split("=", 1)[1]) > 10.0
+
+    def test_train_reports_a_rising_objective(self, scene, monkeypatch, capsys):
+        tmp, high = scene
+        low, model = tmp / "low.pgm", tmp / "model.pgmm"
+        run("degrade", "--input", high, "--output", low, "--factor", 2, "--seed", 1)
+        fit = cli.fit_gmm
+
+        def rising(*args, **kwargs):
+            params, _ = fit(*args, **kwargs)
+            return params, EmTrace(objective=np.array([10.0, 5.0, 7.5]), stop="rise")
+
+        monkeypatch.setattr(cli, "fit_gmm", rising)
+        capsys.readouterr()
+        assert run("train", "--high", high, "--low", low, "--model", model,
+                   "--kind", "gmm", "--components", 2, "--tau", 3, "--factor", 2,
+                   "--em-iters", 4, "--seed", 0) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "stopped at iter 2: objective rose by 2.5" in lines
 
     def test_training_deterministic_given_seed(self, scene):
         tmp, high = scene

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pcagmm.degrade import degrade, dft_downsample, gauss_blur
-from pcagmm.errors import InvalidShape
+from pcagmm.errors import InvalidParameter, InvalidShape
 
 
 def naive_periodic_blur_2d(x, std):
@@ -66,6 +66,11 @@ class TestBlur:
     def test_bad_std(self):
         with pytest.raises(InvalidShape):
             gauss_blur(np.zeros((4, 4)), 0.0)
+
+    @pytest.mark.parametrize("std", [np.nan, np.inf, -np.inf, -0.5])
+    def test_non_finite_or_negative_std(self, std):
+        with pytest.raises(InvalidShape, match="blur std"):
+            gauss_blur(np.zeros((4, 4)), std)
 
 
 class TestDownsample:
@@ -177,3 +182,13 @@ class TestDegrade:
     def test_divisibility_guard(self):
         with pytest.raises(InvalidShape):
             degrade(np.zeros((9, 8)), 2)
+
+    @pytest.mark.parametrize("blur_std", [np.nan, np.inf])
+    def test_non_finite_blur_std_is_rejected(self, blur_std):
+        with pytest.raises(InvalidShape, match="blur std"):
+            degrade(np.zeros((8, 8)), 2, blur_std=blur_std)
+
+    @pytest.mark.parametrize("noise_std", [-0.1, np.nan, np.inf])
+    def test_bad_noise_std_is_rejected(self, noise_std):
+        with pytest.raises(InvalidParameter, match="noise std"):
+            degrade(np.zeros((8, 8)), 2, noise_std=noise_std, seed=0)

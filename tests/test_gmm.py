@@ -8,6 +8,7 @@ from pcagmm.errors import DegenerateDensity, EmptyComponent, InvalidShape
 from pcagmm.gmm import (
     EmConfig,
     GmmParams,
+    _run_em,
     fit_gmm,
     gauss_logpdf,
     gmm_estep,
@@ -300,6 +301,49 @@ class TestFit:
     def test_too_few_samples(self):
         with pytest.raises(InvalidShape):
             fit_gmm(np.zeros((2, 2)), 3)
+
+
+class _Scripted:
+    """One-component model for _run_em whose objective follows a script: each
+    M-step moves it to the next value."""
+
+    def __init__(self, values):
+        self.values = values
+        self.step = 0
+        self.alpha = np.ones(1)
+        self.means = np.zeros((1, 1))
+        self.n_components = 1
+
+    @staticmethod
+    def log_joint(model, X):
+        return np.full((X.shape[0], 1), -model.values[model.step] / X.shape[0])
+
+    @staticmethod
+    def mstep(model, X, beta):
+        model.step += 1
+        return model
+
+
+@pytest.mark.parametrize(
+    "values, max_iters, stop",
+    [
+        ([10.0, 5.0, 7.0, 1.0], 10, "rise"),
+        ([10.0, 5.0, 5.0, 1.0], 10, "tolerance"),
+        ([10.0, 5.0, 5.0 + 1e-9, 1.0], 10, "tolerance"),  # rose within the tolerance
+        ([10.0, 5.0, 7.0], 1, "max_iters"),
+    ],
+)
+def test_em_stop_reason(values, max_iters, stop):
+    _, trace = _run_em(
+        np.zeros((2, 1)),
+        _Scripted(values),
+        _Scripted.log_joint,
+        _Scripted.mstep,
+        None,
+        EmConfig(max_iters=max_iters, tol=1e-5),
+    )
+    assert trace.stop == stop
+    np.testing.assert_allclose(trace.objective, values[: min(3, max_iters + 1)])
 
 
 def exact_kmeanspp_indices(X, K, rng):

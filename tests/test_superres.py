@@ -52,6 +52,97 @@ def random_reduced(rng, K, n, d, sigma=0.3):
     )
 
 
+def lifted_blocks(model, geom, k):
+    """The conditioning blocks of component k from its n x n lift, sliced and
+    solved the way the dense path does."""
+    lifted = lift_component(
+        model.bases[k], model.offsets[k], model.means[k], model.covs[k], model.sigma
+    )
+    nh, nl = geom.n_high, geom.n_low
+    low = lifted.cov[nh:, nh:]
+    L = np.linalg.cholesky(low)
+    whiten = np.linalg.inv(L)
+    return {
+        "mean_high": lifted.mean[:nh],
+        "mean_low": lifted.mean[nh:],
+        "gain": np.linalg.solve(low, lifted.cov[:nh, nh:].T).T,
+        "whiten_low": whiten,
+        "shift_low": whiten @ lifted.mean[nh:],
+        "log_norm_low": -0.5 * nl * np.log(2 * np.pi) - np.log(np.diag(L)).sum(),
+    }
+
+
+def with_spectrum(model, rng, low, high):
+    """The model with every Sigma_k replaced by one whose eigenvalues are
+    spread over [low, high]."""
+    d = model.covs.shape[1]
+    for k in range(model.n_components):
+        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        model.covs[k] = (Q * np.geomspace(low, high, d)) @ Q.T
+    return model
+
+
+class TestReducedConditionals:
+    # (geometry, d): d below n_low, above n_low, and d = n
+    CASES = {
+        "2d-d<nl": (GEOM, 3),
+        "2d-d>nl": (GEOM, 10),
+        "2d-d=n": (GEOM, GEOM.n_joint),
+        "3d-d<nl": (GEOM3, 5),
+        "3d-d>nl": (GEOM3, 20),
+        "3d-d=n": (GEOM3, GEOM3.n_joint),
+    }
+
+    @pytest.mark.parametrize("indefinite", [False, True])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_lifted_blocks(self, case, indefinite):
+        geom, d = self.CASES[case]
+        rng = np.random.default_rng(40)
+        model = random_reduced(rng, 3, geom.n_joint, d, sigma=0.3)
+        if indefinite:  # Sigma - sigma^2 I has eigenvalues of both signs
+            with_spectrum(model, rng, 0.1 * model.sigma**2, 4.0)
+        blocks = precompute_conditionals(model, geom)
+        assert blocks.valid.all()
+        for k in range(model.n_components):
+            for name, expected in lifted_blocks(model, geom, k).items():
+                got = getattr(blocks, name)[k]
+                assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(
+                    expected
+                ), (name, k)
+
+    def test_reconstruct_3d_equals_lifted_model(self):
+        rng = np.random.default_rng(41)
+        model = with_spectrum(
+            random_reduced(rng, 3, GEOM3.n_joint, 12), rng, 0.02, 4.0
+        )
+        lifted = [
+            lift_component(*args, model.sigma)
+            for args in zip(model.bases, model.offsets, model.means, model.covs)
+        ]
+        dense = GmmParams(
+            alpha=model.alpha,
+            means=np.stack([g.mean for g in lifted]),
+            covs=np.stack([g.cov for g in lifted]),
+        )
+        low = 3.0 * rng.standard_normal((4, 5, 6))
+        np.testing.assert_allclose(
+            reconstruct(low, model, GEOM3), reconstruct(low, dense, GEOM3),
+            rtol=0, atol=1e-10,
+        )
+
+    def test_memory_stays_below_one_lifted_covariance(self):
+        geom = PatchGeometry(tau=4, q=2, dims=3)  # n = 576
+        n = geom.n_joint
+        model = random_reduced(np.random.default_rng(42), 2, n, 20)
+        tracemalloc.start()
+        try:
+            precompute_conditionals(model, geom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8, peak
+
+
 class TestPrecompute:
     def test_block_diagonal_gives_zero_gain(self):
         n = GEOM.n_joint
