@@ -10,8 +10,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import DegenerateDensity, EmptyComponent, InvalidParameter, InvalidShape
-from .linalg import cholesky_spd, regularize_spd, solve_triangular
+from .errors import (
+    DegenerateDensity,
+    EmptyComponent,
+    InvalidParameter,
+    InvalidShape,
+    NotPositiveDefinite,
+)
+from .linalg import cholesky_spd, regularize_spd, solve_triangular, try_cholesky
 from .stats import _EMPTY_REL, floored_moments
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -49,13 +55,15 @@ class GmmParams:
 def check_mixture(alpha, covs, *finite):
     """Raise InvalidParameter unless the mixture weights are nonnegative and
     sum to one and every parameter in `finite` is finite, and
-    NotPositiveDefinite unless every covariance factors."""
+    NotPositiveDefinite unless every covariance factors as it stands, with no
+    diagonal shift."""
     if not (np.all(alpha >= 0.0) and abs(alpha.sum() - 1.0) <= 1e-12):
         raise InvalidParameter("mixture weights are not on the probability simplex")
     if not all(np.all(np.isfinite(x)) for x in finite):
         raise InvalidParameter("mixture parameters are not finite")
-    for cov in covs:
-        cholesky_spd(cov)
+    for k, cov in enumerate(covs):
+        if try_cholesky(cov) is None:
+            raise NotPositiveDefinite(f"covariance {k} is not positive definite")
 
 
 @dataclass
@@ -169,12 +177,13 @@ def gmm_mstep(X, beta):
     """Maximum-likelihood update from responsibilities beta (N x K): mixture
     weights, weighted means and weighted covariances about those means.
 
-    The weights and means use every row. Each covariance is the
-    floored_moments scatter of its column about the component mean, taken
-    over the rows with beta[:, k] >= _EMPTY_REL and divided by the full column
-    mass c_k, then floored by regularize_spd. It falls short of the dense
-    covariance by a positive semidefinite matrix of norm at most
-    sum over dropped rows of beta_ik ||x_i - mu_k||^2 / c_k.
+    The weights use every row. Each mean m_k and scatter come from
+    floored_moments of column k, over the rows with beta[:, k] >= _EMPTY_REL;
+    the covariance is that scatter divided by the full column mass c_k, then
+    floored by regularize_spd. Against the dense estimates over every row,
+    the mean moves by at most D_k^(1) / c_k and the covariance, before the
+    floor, by at most D_k^(2) / c_k in the 2-norm, where D_k^(p) is the sum
+    over dropped rows of beta_ik ||x_i - m_k||^p.
 
     Raises InvalidShape unless X is N x n and beta N x K, and EmptyComponent
     naming every column whose mass is below _EMPTY_REL N, or every column
@@ -194,10 +203,10 @@ def gmm_mstep(X, beta):
     if starved.size:
         raise EmptyComponent(starved)
     alpha = cols / N
-    means = (beta.T @ X) / cols[:, None]
+    means = np.empty((K, n))
     covs = np.empty((K, n, n))
     for k in range(K):
-        _, _, scatter = floored_moments(X, beta[:, k], about=means[k])
+        _, means[k], scatter = floored_moments(X, beta[:, k])
         covs[k] = regularize_spd(scatter / cols[k])
     return GmmParams(alpha=alpha, means=means, covs=covs)
 
@@ -250,12 +259,13 @@ def _run_em(X, model, log_joint, mstep, reset, config):
     updated model, and reset(model, k, x) restarts component k at sample x.
     One density pass per iteration serves both the responsibilities and the
     objective entry. The trace holds the objective of the initial model and
-    of the model after every update; it is nonincreasing up to floating-point
-    reduction order except across reseeds. EM stops when the objective
-    decreases by less than the tolerance, which includes any rise, or after
-    config.max_iters updates; the trace's stop field says which. Before an
-    update, every starved component is reset onto one of the worst-explained
-    samples with weight 1/K before renormalization.
+    of the model after every update. EM stops when the objective decreases by
+    less than the tolerance, which includes any rise, or after
+    config.max_iters updates; the trace's stop field says which. The trace is
+    nonincreasing up to floating-point reduction order except across reseeds
+    and, on a rise, at its last entry: the risen objective of the returned
+    model. Before an update, every starved component is reset onto one of the
+    worst-explained samples with weight 1/K before renormalization.
     """
     N = X.shape[0]
     objective = []

@@ -14,10 +14,12 @@ where w is the total responsibility mass. The proximal step on U is the
 projection onto the set of matrices with orthonormal columns; the b block
 is unconstrained.
 
-S is never formed: every term reads the moments through FrameMoments, one
-n x n by n x d product per frame, and b enters through rank-one corrections.
-G and both gradients at one (U, b) share one Cholesky factor of U^T S U, and
-both blocks take the same backtracked proximal-gradient step.
+The statistics are centred: with C the scatter about the weighted mean m and
+e = m - b, the scatter about b is S = C + w e e^T and r = w e, exactly. S is
+never formed: every term reads C through FrameMoments, one n x n by n x d
+product per frame, and b enters only through that one rank-one term. G and
+both gradients at one (U, b) share one Cholesky factor of U^T S U, and both
+blocks take the same backtracked proximal-gradient step.
 """
 
 from dataclasses import dataclass
@@ -89,37 +91,29 @@ class SolverConfig:
 class FrameMoments:
     """The moments of a problem seen through one frame U.
 
-    Holds S0 U, U^T S0 U and U^T sum_x, where S0 is sum_outer: the one
-    n x n by n x d product a frame costs. The offset b enters every quantity
-    of the objective only through rank-one corrections of these, so no step
-    on b does any n x n work. U need not be orthonormal (the extrapolated
-    frame is not).
+    Holds C U and U^T C U, where C is the scatter about the weighted mean: the
+    one n x n by n x d product a frame costs. The offset b enters every
+    quantity of the objective only through the rank-one term w e e^T of
+    S(b) = C + w e e^T, e = mean - b, so no step on b does any n x n work. U
+    need not be orthonormal (the extrapolated frame is not).
     """
 
     def __init__(self, stats, U):
         self.stats = stats
         self.U = U
-        self.SU = stats.sum_outer @ U
-        self.A = U.T @ self.SU
-        self.p = U.T @ stats.sum_x
+        self.CU = stats.scatter @ U
+        self.A = U.T @ self.CU
 
     def about(self, b):
-        """(T, v, q): T = U^T S(b) U, v = U^T r(b) and q = U^T b, where S(b)
-        is the scatter about b and r(b) = sum_x - weight b the residual."""
-        w = self.stats.weight
-        q = self.U.T @ b
-        pq = np.outer(self.p, q)
-        T = self.A - pq - pq.T + w * np.outer(q, q)
-        return T, self.p - w * q, q
+        """(T, e, g): T = U^T S(b) U = A + w g g^T, e = mean - b and
+        g = U^T e. The residual r(b) = sum w_i (x_i - b) is w e."""
+        e = self.stats.mean - b
+        g = self.U.T @ e
+        return self.A + self.stats.weight * np.outer(g, g), e, g
 
-    def scatter_U(self, b, q):
-        """S(b) U for the q = U^T b returned by about()."""
-        w = self.stats.weight
-        return (
-            self.SU
-            - np.outer(self.stats.sum_x, q)
-            + np.outer(b, w * q - self.p)
-        )
+    def scatter_U(self, e, g):
+        """S(b) U = C U + w e g^T for the e and g returned by about()."""
+        return self.CU + self.stats.weight * np.outer(e, g)
 
 
 class _Point:
@@ -133,19 +127,19 @@ class _Point:
     def __init__(self, problem, frame, b):
         self.problem, self.frame, self.b = problem, frame, b
         w = problem.stats.weight
-        T, v, q = frame.about(b)
+        T, e, g = frame.about(b)
         L = try_cholesky(0.5 * (T + T.T))
         if L is None:
             raise NotPositiveDefinite(
                 "projected scatter U^T S U is not positive definite"
             )
-        r = problem.stats.sum_x - w * b
+        r, v = w * e, w * g
         z = solve_triangular(L, v, lower=True)
         logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
         self.G = float(
             -(np.trace(T) - r @ r / w) / problem.sigma**2 - z @ z + w * logdet
         )
-        self.L, self.r, self.v, self.q, self.z = L, r, v, q, z
+        self.L, self.e, self.g, self.r, self.v, self.z = L, e, g, r, v, z
 
     @cached_property
     def t(self):
@@ -161,7 +155,7 @@ class _Point:
     def grad_U(self):
         w, sig2 = self.problem.stats.weight, self.problem.sigma**2
         L, r, t = self.L, self.r, self.t
-        SU = self.frame.scatter_U(self.b, self.q)
+        SU = self.frame.scatter_U(self.e, self.g)
         # SU T^{-1} through the factor, one triangular solve pair per column
         SUTinv = solve_triangular(
             L.T, solve_triangular(L, SU.T, lower=True), lower=False
@@ -213,14 +207,11 @@ def _perturb_tangent(U, rng, scale=1e-6):
 
 
 def _leading_eigenvalue(stats, b):
-    # power iteration on the scatter about b, applied as sum_outer v minus
-    # its rank-one corrections
+    # power iteration on the scatter about b, applied as C v + w e (e.v)
+    e = stats.mean - b
+
     def scatter(v):
-        return (
-            stats.sum_outer @ v
-            - stats.sum_x * (b @ v)
-            + b * (stats.weight * (b @ v) - stats.sum_x @ v)
-        )
+        return stats.scatter @ v + (stats.weight * (e @ v)) * e
 
     v = np.full(b.size, b.size**-0.5)
     for _ in range(8):
@@ -264,7 +255,7 @@ def ipalm_minimize(problem, U0, b0, config=None):
 def _minimize(problem, U0, b0, config, inertial):
     U = np.array(U0, dtype=float)
     b = np.array(b0, dtype=float)
-    n = problem.stats.sum_x.size
+    n = problem.stats.mean.size
     if not (
         U.ndim == 2 and U.shape[0] == n and 1 <= U.shape[1] <= n and b.shape == (n,)
     ):

@@ -190,19 +190,17 @@ _WEIGHT_FLOOR = 1e-12  # total responsibility below which a component is empty
 def recover_component(stats, basis, offset):
     """Reduced mean and covariance implied by the optimized frame and offset.
 
-    The covariance is the offset-centered second moment projected into the
-    subspace; it is intentionally not re-centered at the recovered mean, so
-    the pair (mean, cov) matches the objective the solver minimized. The
-    norm of the returned mean measures how far the offset optimization is
-    from absorbing the subspace component of the data mean.
+    The mean is g = U^T e and the covariance T / w = U^T S(b) U / w, with
+    e = stats.mean - b and S(b) the scatter about the offset; it is
+    intentionally not re-centered at the recovered mean, so the pair (mean,
+    cov) matches the objective the solver minimized. The norm of the returned
+    mean measures how far the offset optimization is from absorbing the
+    subspace component of the data mean.
     """
     if stats.weight < _WEIGHT_FLOOR:
         raise EmptyComponent()
-    w = stats.weight
-    projected, resid, _ = FrameMoments(stats, basis).about(offset)
-    mean = resid / w
-    cov = regularize_spd(projected / w)
-    return mean, cov
+    T, _, mean = FrameMoments(stats, basis).about(offset)
+    return mean, regularize_spd(T / stats.weight)
 
 
 def _nearest_seed(X, seeds):
@@ -259,17 +257,16 @@ def _init_model(X, K, d, sigma, rng):
 
 
 def _floored_stats(stats):
-    """Add an isotropic jitter of 1e-10 times the mean diagonal to the second
-    moment. Clusters of near-constant patches have numerically rank-deficient
+    """Add an isotropic jitter to the scatter C: 1e-10 times the mean diagonal
+    of the second moment about the origin, (trace C + w ||mean||^2) / n, plus
+    1e-22. Clusters of near-constant patches have numerically rank-deficient
     scatter, on which the frame objective is unbounded below; the jitter keeps
     every projected scatter factorable without visibly moving the optimum."""
-    n = stats.sum_x.size
-    eps = 1e-10 * (float(np.trace(stats.sum_outer)) / n + 1e-12)
-    sum_outer = stats.sum_outer.copy()
-    sum_outer.flat[:: n + 1] += eps
-    return SufficientStats(
-        weight=stats.weight, sum_x=stats.sum_x, sum_outer=sum_outer
-    )
+    m, n = stats.mean, stats.mean.size
+    second = float(np.trace(stats.scatter)) + stats.weight * float(m @ m)
+    scatter = stats.scatter.copy()
+    scatter.flat[:: n + 1] += 1e-10 * (second / n + 1e-12)
+    return SufficientStats(weight=stats.weight, mean=stats.mean, scatter=scatter)
 
 
 def fit_pcagmm(X, K, d, sigma, em_config=None, solver_config=None, seed=0):

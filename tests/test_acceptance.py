@@ -205,7 +205,7 @@ def test_criterion_4_oracle_equivalences():
     Xp[:, :2] *= 5.0
     stats = accumulate_stats(Xp, np.ones((300, 1)), 0)
     problem = MStepProblem(stats=stats, sigma=1e-3)
-    center = stats.sum_x / stats.weight
+    center = stats.mean
     U, _, _ = palm_minimize(problem, random_stiefel(8, 2, seed=0), center.copy())
     scatter = (Xp - center).T @ (Xp - center)
     _, vecs = np.linalg.eigh(scatter)
@@ -213,7 +213,7 @@ def test_criterion_4_oracle_equivalences():
     angle = float(np.arccos(np.clip(cosines.min(), 0.0, 1.0)))
 
     # (c) the closed-form two-pixel problem
-    stats2 = SufficientStats(weight=1.0, sum_x=np.zeros(2), sum_outer=np.diag([4.0, 1.0]))
+    stats2 = SufficientStats(weight=1.0, mean=np.zeros(2), scatter=np.diag([4.0, 1.0]))
     problem2 = MStepProblem(stats=stats2, sigma=1.0)
     U0 = np.array([[np.cos(1.2)], [np.sin(1.2)]])
     _, _, trace = palm_minimize(problem2, U0, np.zeros(2))
@@ -306,6 +306,7 @@ def _benchmark_image(monkeypatch):
     return skimage.data.camera().astype(float) / 255.0, "camera"
 
 
+@pytest.mark.slow
 def test_criterion_7_benchmark_2d(monkeypatch):
     start = time.time()
     image, name = _benchmark_image(monkeypatch)
@@ -362,6 +363,7 @@ def test_criterion_7_benchmark_2d(monkeypatch):
     report(7, "2D benchmark protocol", ordering_ok and monotone_ok and bands_ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_8_volume_smoke():
     start = time.time()
     rng = np.random.default_rng(8)

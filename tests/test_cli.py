@@ -268,6 +268,33 @@ class TestTrainSuperresPsnr:
         assert "sigma" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("kind", ["gmm", "pcagmm"])
+    def test_model_covariance_not_positive_definite_is_data_error(self, scene, kind):
+        # each covariance factors only after a diagonal shift
+        tmp, high = scene
+        low, model = tmp / "low.pgm", tmp / "model.pgmm"
+        run("degrade", "--input", high, "--output", low, "--factor", 2, "--seed", 1)
+        geom = PatchGeometry(tau=3, q=2, dims=2)
+        n, alpha = geom.n_joint, np.array([0.5, 0.5])
+        if kind == "gmm":
+            covs = np.stack([np.eye(n), np.zeros((n, n))])
+            fitted = GmmParams(alpha=alpha, means=np.full((2, n), 0.5), covs=covs)
+        else:
+            fitted = PcaGmmModel(
+                alpha=alpha,
+                bases=np.stack([random_stiefel(n, 2, seed=s) for s in (1, 2)]),
+                offsets=np.full((2, n), 0.5),
+                means=np.zeros((2, 2)),
+                covs=np.stack([np.eye(2), np.diag([1.0, -1e-7])]),
+                sigma=0.1,
+            )
+        save_model(model, fitted, geom)
+        proc = run_process("superres", "--low", low, "--model", model,
+                           "--output", tmp / "o.pgm")
+        assert proc.returncode == 3, proc.stderr
+        assert "positive definite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_model_payload_of_odd_length_is_data_error(self, tmp_path):
         model = tmp_path / "m.pgmm"
         save_model(

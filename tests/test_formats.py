@@ -8,6 +8,7 @@ from pcagmm.errors import (
     CorruptHeader,
     InvalidParameter,
     InvalidShape,
+    NotPositiveDefinite,
     UnsupportedFormat,
     VersionMismatch,
 )
@@ -215,6 +216,26 @@ class TestModelFile:
         path = tmp_path / "m.pgmm"
         save_model(path, model)
         with pytest.raises(CorruptHeader, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind", ["gmm", "pcagmm"])
+    def test_covariance_that_factors_only_after_a_shift_is_corrupt(
+        self, tmp_path, kind
+    ):
+        # a zero covariance and diag(1, -1e-7) both factor once shifted by
+        # 1e-6 times their mean diagonal; neither is positive definite
+        rng = np.random.default_rng(9)
+        if kind == "gmm":
+            model = random_gmm(rng, 2, 5)
+            model.covs[1] = 0.0
+        else:
+            model = random_pcagmm(rng, 2, 5, 2)
+            model.covs[1] = np.diag([1.0, -1e-7])
+        with pytest.raises(NotPositiveDefinite, match="covariance 1"):
+            model.validate()
+        path = tmp_path / "m.pgmm"
+        save_model(path, model)
+        with pytest.raises(CorruptHeader, match="positive definite"):
             load_model(path)
 
     @pytest.mark.parametrize(

@@ -9,8 +9,9 @@ import pytest
 import pcagmm
 import pcagmm.palm as palm_mod
 from pcagmm.errors import InvalidShape, LineSearchFailed, NotPositiveDefinite
-from pcagmm.linalg import logdet_spd, random_stiefel
+from pcagmm.linalg import logdet_spd, project_stiefel, random_stiefel, stiefel_defect
 from pcagmm.palm import (
+    FrameMoments,
     MStepProblem,
     eval_G,
     grad_G_U,
@@ -34,8 +35,8 @@ def make_problem(rng, n, n_samples=40, sigma=0.3):
     return MStepProblem(stats=stats, sigma=sigma), X, w
 
 
-def raw_problem(sum_x, sum_outer, weight, sigma):
-    stats = SufficientStats(weight=weight, sum_x=sum_x, sum_outer=sum_outer)
+def centred_problem(mean, scatter, weight, sigma):
+    stats = SufficientStats(weight=weight, mean=mean, scatter=scatter)
     return MStepProblem(stats=stats, sigma=sigma)
 
 
@@ -47,7 +48,7 @@ CLOSED_FORM_MIN = -4.0 + np.log(4.0)
 
 
 def closed_form_problem():
-    return raw_problem(np.zeros(2), np.diag([4.0, 1.0]), 1.0, 1.0)
+    return centred_problem(np.zeros(2), np.diag([4.0, 1.0]), 1.0, 1.0)
 
 
 def fd_grad_U(problem, U, b, h=1e-6):
@@ -72,7 +73,7 @@ def fd_grad_b(problem, U, b, h=1e-6):
 class TestEval:
     def test_identity_scatter(self):
         for d in (1, 2, 3):
-            problem = raw_problem(np.zeros(4), np.eye(4), 1.0, 1.0)
+            problem = centred_problem(np.zeros(4), np.eye(4), 1.0, 1.0)
             U = random_stiefel(4, d, seed=d)
             b = np.zeros(4)
             assert eval_G(problem, U, b) == pytest.approx(-d, abs=1e-12)
@@ -92,7 +93,7 @@ class TestEval:
 
         def raw_route(U, b):
             weight = problem.stats.weight
-            resid = problem.stats.sum_x - weight * b
+            resid = weight * (problem.stats.mean - b)
             scatter = sum(wi * np.outer(x - b, x - b) for wi, x in zip(w, X))
             mean = U.T @ resid / weight
             cov = U.T @ scatter @ U / weight
@@ -117,7 +118,7 @@ class TestEval:
 
     def test_degenerate_projected_scatter_raises(self):
         v = np.array([1.0, 0.0, 0.0])
-        problem = raw_problem(np.zeros(3), np.outer(v, v), 1.0, 1.0)
+        problem = centred_problem(np.zeros(3), np.outer(v, v), 1.0, 1.0)
         U = np.eye(3)[:, :2]
         with pytest.raises(NotPositiveDefinite):
             eval_G(problem, U, np.zeros(3))
@@ -127,7 +128,7 @@ class TestGradients:
     def test_isotropic_stationarity(self):
         # zero residual and identity scatter: the gradient has no component
         # leaving the span of the frame
-        problem = raw_problem(np.zeros(6), np.eye(6), 1.0, 1.0)
+        problem = centred_problem(np.zeros(6), np.eye(6), 1.0, 1.0)
         U = random_stiefel(6, 2, seed=9)
         g = grad_G_U(problem, U, np.zeros(6))
         assert np.linalg.norm(g - U @ (U.T @ g)) < 1e-8
@@ -163,7 +164,7 @@ class TestGradients:
         # of the gradient leaving span(U) is zero
         rng = np.random.default_rng(4)
         problem, X, w = make_problem(rng, 5)
-        b = problem.stats.sum_x / problem.stats.weight
+        b = problem.stats.mean
         U = random_stiefel(5, 2, seed=5)
         g = grad_G_b(problem, U, b)
         perp = g - U @ (U.T @ g)
@@ -191,13 +192,9 @@ def dense_reference(problem, U, b):
     and T = U^T S U inverted outright."""
     stats = problem.stats
     w, sig2 = stats.weight, problem.sigma**2
-    S = (
-        stats.sum_outer
-        - np.outer(stats.sum_x, b)
-        - np.outer(b, stats.sum_x)
-        + w * np.outer(b, b)
-    )
-    r = stats.sum_x - w * b
+    e = stats.mean - b
+    S = stats.scatter + w * np.outer(e, e)
+    r = w * e
     T = U.T @ S @ U
     T_inv = np.linalg.inv(T)
     v = U.T @ r
@@ -218,24 +215,42 @@ class TestFrameMoments:
     @pytest.mark.parametrize("n", [6, 40])
     @pytest.mark.parametrize("distance", [1e-2, 1.0, 30.0])
     def test_matches_dense_scatter(self, n, distance):
-        # b near and far from the weighted mean: far away, the rank-one
-        # corrections dwarf sum_outer
+        # b near and far from the weighted mean: far away, the rank-one term
+        # w e e^T dwarfs the scatter
         rng = np.random.default_rng(n)
         problem, _, _ = make_problem(rng, n, n_samples=5 * n)
         U = random_stiefel(n, 3, seed=1)
-        center = problem.stats.sum_x / problem.stats.weight
+        center = problem.stats.mean
         b = center + distance * rng.standard_normal(n)
         G, gU, gb = dense_reference(problem, U, b)
         assert eval_G(problem, U, b) == pytest.approx(G, rel=1e-12)
         for got, want in ((grad_G_U(problem, U, b), gU), (grad_G_b(problem, U, b), gb)):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
-    def test_sum_outer_is_exactly_symmetric(self):
+    @pytest.mark.parametrize("offset", [0.0, 1.0, 30.0, 1e3])
+    def test_projected_scatter_keeps_its_digits_far_from_the_origin(self, offset):
+        # data of spread 0.1 to 0.001 sitting `offset` away from the origin,
+        # and b near their mean: T against the scatter about b summed row by
+        # row in extended precision
+        rng = np.random.default_rng(21)
+        n = 12
+        X = offset + rng.standard_normal((400, n)) * np.linspace(0.1, 0.001, n)
+        w = rng.uniform(0.05, 1.0, 400)
+        stats = accumulate_stats(X, w[:, None], 0)
+        U = random_stiefel(n, 4, seed=2)
+        b = X.mean(axis=0) + 1e-3 * rng.standard_normal(n)
+        T, _, _ = FrameMoments(stats, U).about(b)
+        Y = (X - b).astype(np.longdouble) @ U.astype(np.longdouble)
+        ref = (Y * w[:, None].astype(np.longdouble)).T @ Y
+        err = np.linalg.norm((T - ref).astype(float))
+        assert err <= 1e-10 * np.linalg.norm(ref.astype(float))
+
+    def test_scatter_is_exactly_symmetric(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((300, 40))
         beta = rng.uniform(0.0, 1.0, (300, 2))
         stats = accumulate_stats(X, beta, 1)
-        assert stats.sum_outer.tobytes() == stats.sum_outer.T.copy().tobytes()
+        assert stats.scatter.tobytes() == stats.scatter.T.copy().tobytes()
 
 
 class TestPalm:
@@ -266,7 +281,7 @@ class TestPalm:
         rng = np.random.default_rng(8)
         problem, X, w = make_problem(rng, 6)
         U0 = random_stiefel(6, 2, seed=1)
-        center = problem.stats.sum_x / problem.stats.weight
+        center = problem.stats.mean
         _, _, trace = palm_minimize(problem, U0, center.copy())
         best = np.inf
         offsets = np.linspace(-1.0, 1.0, 5)
@@ -288,7 +303,7 @@ class TestPalm:
         w = np.ones(200)
         stats = accumulate_stats(X, w[:, None], 0)
         problem = MStepProblem(stats=stats, sigma=1e-3)
-        center = stats.sum_x / stats.weight
+        center = stats.mean
         U, _, _ = palm_minimize(problem, random_stiefel(8, 2, seed=0), center.copy())
         scatter = (X - center).T @ (X - center)
         _, vecs = np.linalg.eigh(scatter)
@@ -339,6 +354,22 @@ class TestPalm:
                 assert trace.size > 2
                 assert len(factored) == len(set(factored))
 
+    @pytest.mark.parametrize("minimize", [palm_minimize, ipalm_minimize])
+    def test_start_frame_without_scatter_is_nudged(self, minimize):
+        # U0 = e3 sees no scatter about b0 = mean, so U0^T S U0 = 0 does not
+        # factor; the solve starts from the seeded tangent nudge of U0
+        mean = np.array([1.0, 2.0, 3.0])
+        problem = centred_problem(mean, np.diag([4.0, 1.0, 0.0]), 1.0, 1.0)
+        U0 = np.eye(3)[:, 2:]
+        with pytest.raises(NotPositiveDefinite):
+            eval_G(problem, U0, mean)
+        start = palm_mod._perturb_tangent(U0, np.random.default_rng(0))
+        assert 0.0 < np.linalg.norm(start - U0) <= 1e-5
+        U, b, trace = minimize(problem, U0, mean.copy())
+        assert trace[0] == eval_G(problem, start, mean)
+        assert np.all(np.isfinite(trace)) and np.all(np.diff(trace) <= 0.0)
+        assert stiefel_defect(U) <= 1e-10
+
     @pytest.mark.parametrize(
         "U0, b0",
         [
@@ -352,6 +383,72 @@ class TestPalm:
     def test_start_must_fit_statistics(self, minimize, U0, b0):
         with pytest.raises(InvalidShape):
             minimize(closed_form_problem(), U0, b0)
+
+
+def failing_cholesky(call):
+    """try_cholesky that reports failure on its call numbered `call`,
+    counting from 1."""
+    real, count = palm_mod.try_cholesky, [0]
+
+    def patched(M):
+        count[0] += 1
+        return None if count[0] == call else real(M)
+
+    return patched
+
+
+class TestBlockStep:
+    # frame_step factors its start point on the first try_cholesky call
+    @staticmethod
+    def frame_step(gamma, tau=None, U_prev=None):
+        rng = np.random.default_rng(3)
+        problem, _, _ = make_problem(rng, 6)
+        U, b = random_stiefel(6, 2, seed=3), rng.standard_normal(6)
+        point = palm_mod._point(problem, U, b)
+        tau = tau or palm_mod._initial_tau(problem, b)[0]
+        return tau, palm_mod._block_step(
+            point,
+            U,
+            U if U_prev is None else U_prev,
+            gamma,
+            tau,
+            point.at_U,
+            palm_mod._Point.grad_U,
+            project_stiefel,
+        )
+
+    @staticmethod
+    def assert_same_step(got, want):
+        assert got[0].G == want[0].G and got[1:] == want[1:]
+        np.testing.assert_array_equal(got[0].frame.U, want[0].frame.U)
+
+    def test_unfactorable_candidate_is_rejected_like_too_little_decrease(
+        self, monkeypatch
+    ):
+        # the first candidate is accepted at tau when it factors; when it
+        # does not, tau doubles and the step is the one taken at 2 tau
+        tau, first = self.frame_step(0.0)
+        assert first[2] == tau
+        _, doubled = self.frame_step(0.0, 2.0 * tau)
+        assert doubled[0].G != first[0].G
+        monkeypatch.setattr(palm_mod, "try_cholesky", failing_cholesky(2))
+        _, got = self.frame_step(0.0, tau)
+        self.assert_same_step(got, doubled)
+
+    def test_unfactorable_extrapolation_falls_back_to_the_monotone_step(
+        self, monkeypatch
+    ):
+        # the extrapolated base point does not factor, so the step is the
+        # plain backtracked step from the current frame
+        U_prev = project_stiefel(
+            random_stiefel(6, 2, seed=3) + 0.05 * np.eye(6)[:, 2:4]
+        )
+        tau, inertial = self.frame_step(0.5, None, U_prev)
+        _, monotone = self.frame_step(0.0, tau)
+        assert inertial[0].G != monotone[0].G
+        monkeypatch.setattr(palm_mod, "try_cholesky", failing_cholesky(2))
+        _, got = self.frame_step(0.5, tau, U_prev)
+        self.assert_same_step(got, monotone)
 
 
 class TestIpalm:
@@ -383,9 +480,9 @@ BAD_INPUTS = {
     "MStepProblem(stats=STATS, sigma=0.0)": "InvalidParameter",
     "palm_minimize(MStepProblem(stats=STATS, sigma=1.0), np.zeros((2, 3)), "
     "np.zeros(2))": "InvalidShape",
-    "SufficientStats(weight=-1.0, sum_x=np.zeros(2), sum_outer=np.eye(2))":
+    "SufficientStats(weight=-1.0, mean=np.zeros(2), scatter=np.eye(2))":
         "InvalidParameter",
-    "SufficientStats(weight=1.0, sum_x=np.zeros(2), sum_outer=np.eye(3))":
+    "SufficientStats(weight=1.0, mean=np.zeros(2), scatter=np.eye(3))":
         "InvalidShape",
 }
 
@@ -405,8 +502,8 @@ def test_stiefel_checks_survive_optimize_flag():
         "import numpy as np\n"
         "from pcagmm import linalg, palm\n"
         "from pcagmm.stats import SufficientStats\n"
-        "STATS = SufficientStats(weight=1.0, sum_x=np.zeros(2), "
-        "sum_outer=np.diag([4.0, 1.0]))\n"
+        "STATS = SufficientStats(weight=1.0, mean=np.zeros(2), "
+        "scatter=np.diag([4.0, 1.0]))\n"
         "PROBLEM = palm.MStepProblem(stats=STATS, sigma=1.0)\n"
         "DEFECT = linalg.stiefel_defect\n"
         "def broken(module):\n"
@@ -440,7 +537,7 @@ def test_input_checks_survive_optimize_flag():
         "import numpy as np\n"
         "from pcagmm.palm import MStepProblem, SolverConfig, palm_minimize\n"
         "from pcagmm.stats import SufficientStats\n"
-        "STATS = SufficientStats(weight=1.0, sum_x=np.zeros(2), sum_outer=np.eye(2))\n"
+        "STATS = SufficientStats(weight=1.0, mean=np.zeros(2), scatter=np.eye(2))\n"
         "for expr in sys.argv[1:]:\n"
         "    try:\n"
         "        eval(expr)\n"

@@ -289,17 +289,20 @@ class TestStats:
         X = rng.standard_normal((15, 4))
         stats = accumulate_stats(X, np.ones((15, 1)), 0)
         assert stats.weight == pytest.approx(15.0)
-        np.testing.assert_allclose(stats.sum_x, X.sum(axis=0), atol=1e-12)
-        np.testing.assert_allclose(stats.sum_outer, X.T @ X, atol=1e-12)
+        D = X - X.mean(axis=0)
+        np.testing.assert_allclose(stats.mean, X.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(stats.scatter, D.T @ D, atol=1e-12)
 
     def test_zero_weights(self):
         X = np.random.default_rng(9).standard_normal((10, 3))
         beta = np.zeros((10, 2))
         beta[:, 0] = 1.0
-        stats = accumulate_stats(X, beta, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = accumulate_stats(X, beta, 1)
         assert stats.weight == 0.0
-        np.testing.assert_array_equal(stats.sum_x, 0.0)
-        np.testing.assert_array_equal(stats.sum_outer, 0.0)
+        np.testing.assert_array_equal(stats.mean, 0.0)
+        np.testing.assert_array_equal(stats.scatter, 0.0)
 
     def test_against_naive_loop(self):
         rng = np.random.default_rng(10)
@@ -307,19 +310,18 @@ class TestStats:
         beta = rng.uniform(0.0, 1.0, (20, 3))
         beta /= beta.sum(axis=1, keepdims=True)
         stats = accumulate_stats(X, beta, 1)
-        sum_x = sum(b * x for b, x in zip(beta[:, 1], X))
-        sum_outer = sum(b * np.outer(x, x) for b, x in zip(beta[:, 1], X))
+        mean = sum(b * x for b, x in zip(beta[:, 1], X)) / beta[:, 1].sum()
+        scatter = sum(b * np.outer(x - mean, x - mean) for b, x in zip(beta[:, 1], X))
         assert stats.weight == pytest.approx(beta[:, 1].sum(), abs=1e-12)
-        np.testing.assert_allclose(stats.sum_x, sum_x, atol=1e-12)
-        np.testing.assert_allclose(stats.sum_outer, sum_outer, atol=1e-12)
+        np.testing.assert_allclose(stats.mean, mean, atol=1e-12)
+        np.testing.assert_allclose(stats.scatter, scatter, atol=1e-12)
 
     def test_centered_second_moment_psd(self):
         rng = np.random.default_rng(11)
         X = rng.standard_normal((30, 3))
         beta = rng.uniform(0.1, 1.0, (30, 1))
         stats = accumulate_stats(X, beta, 0)
-        centered = stats.sum_outer - np.outer(stats.sum_x, stats.sum_x) / stats.weight
-        assert np.linalg.eigvalsh(centered).min() >= -1e-10
+        assert np.linalg.eigvalsh(stats.scatter).min() >= -1e-10
 
     def test_row_floor_drops_at_most_the_floored_mass(self):
         rng = np.random.default_rng(33)
@@ -333,17 +335,20 @@ class TestStats:
         bound = [np.sum(w[dropped] * norms[dropped] ** p) for p in (0, 1, 2)]
         sum_x = sum(b * x for b, x in zip(w, X))
         sum_outer = sum(b * np.outer(x, x) for b, x in zip(w, X))
+        m = stats.mean
         assert abs(stats.weight - w.sum()) <= bound[0] + 1e-13
-        assert np.linalg.norm(stats.sum_x - sum_x) <= bound[1] + 1e-13
-        assert np.linalg.norm(stats.sum_outer - sum_outer, 2) <= bound[2] + 1e-13
+        assert np.linalg.norm(stats.weight * m - sum_x) <= bound[1] + 1e-13
+        second = stats.scatter + stats.weight * np.outer(m, m)
+        assert np.linalg.norm(second - sum_outer, 2) <= bound[2] + 1e-13
 
     def test_row_floor_keeps_rows_at_the_floor(self):
         X = np.random.default_rng(34).standard_normal((40, 3))
         stats = accumulate_stats(X, np.full((40, 1), _EMPTY_REL), 0)
         assert stats.weight == pytest.approx(40 * _EMPTY_REL, rel=1e-14)
-        np.testing.assert_allclose(stats.sum_x, _EMPTY_REL * X.sum(axis=0), rtol=1e-13)
+        D = X - X.mean(axis=0)
+        np.testing.assert_allclose(stats.mean, X.mean(axis=0), rtol=1e-13)
         np.testing.assert_allclose(
-            stats.sum_outer, _EMPTY_REL * X.T @ X, rtol=1e-12, atol=1e-25
+            stats.scatter, _EMPTY_REL * D.T @ D, rtol=1e-12, atol=1e-25
         )
 
     @pytest.mark.parametrize("seed", range(5))
@@ -364,7 +369,7 @@ class TestRecover:
         X = rng.standard_normal((25, 5))
         stats = accumulate_stats(X, np.ones((25, 1)), 0)
         basis = random_stiefel(5, 2, seed=3)
-        offset = stats.sum_x / stats.weight
+        offset = stats.mean
         mean, cov = recover_component(stats, basis, offset)
         np.testing.assert_allclose(mean, 0.0, atol=1e-12)
         scatter = sum(np.outer(x - offset, x - offset) for x in X)
@@ -377,8 +382,8 @@ class TestRecover:
         X = rng.standard_normal((20, 3))
         stats = accumulate_stats(X, np.ones((20, 1)), 0)
         mean, cov = recover_component(stats, np.eye(3), np.zeros(3))
-        np.testing.assert_allclose(mean, stats.sum_x / stats.weight, atol=1e-12)
-        np.testing.assert_allclose(cov, stats.sum_outer / stats.weight, atol=1e-12)
+        np.testing.assert_allclose(mean, X.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(cov, X.T @ X / 20, atol=1e-12)
 
     def test_scatter_matches_naive_recentering(self):
         rng = np.random.default_rng(14)
@@ -394,7 +399,7 @@ class TestRecover:
         )
 
     def test_empty_component(self):
-        stats = SufficientStats(weight=0.0, sum_x=np.zeros(3), sum_outer=np.zeros((3, 3)))
+        stats = SufficientStats(weight=0.0, mean=np.zeros(3), scatter=np.zeros((3, 3)))
         with pytest.raises(EmptyComponent):
             recover_component(stats, np.eye(3)[:, :1], np.zeros(3))
 
@@ -436,6 +441,24 @@ class TestInit:
         X = np.random.default_rng(18).standard_normal((60, 5))
         pca_mod._init_model(X, 3, 2, 0.1, np.random.default_rng(0))
         assert calls == [3]
+
+    def test_cluster_of_one_point_is_initialised_from_all_the_data(self):
+        # k-means++ seeds the far outlier, whose cluster is then the outlier
+        # alone; that component starts from the PCA of every row instead
+        rng = np.random.default_rng(19)
+        X = rng.standard_normal((60, 5)) * np.linspace(2.0, 0.5, 5)
+        X[0] = 1e3
+        seeds = gmm_mod.kmeanspp_indices(X, 2, np.random.default_rng(0))
+        labels = pca_mod._nearest_seed(X, seeds)
+        k = labels[0]
+        assert np.flatnonzero(labels == k).tolist() == [0]
+        model = pca_mod._init_model(X, 2, 2, 0.1, np.random.default_rng(0))
+        np.testing.assert_allclose(model.offsets[k], X.mean(axis=0), rtol=1e-12)
+        Y = X - X.mean(axis=0)
+        evals, evecs = np.linalg.eigh(Y.T @ Y / 60)
+        np.testing.assert_allclose(np.diag(model.covs[k]), evals[:-3:-1], rtol=1e-10)
+        U = model.bases[k]
+        assert np.linalg.norm(U @ U.T - evecs[:, -2:] @ evecs[:, -2:].T) <= 1e-8
 
     @pytest.mark.parametrize(
         "case",
@@ -496,12 +519,18 @@ class TestFlooredStats:
     def test_jitter_on_the_diagonal_copy_is_bitwise_the_identity_sum(self):
         rng = np.random.default_rng(16)
         X = rng.standard_normal((50, 7))
-        stats = accumulate_stats(X, rng.uniform(0.1, 1.0, (50, 1)), 0)
-        before = stats.sum_outer.copy()
+        w = rng.uniform(0.1, 1.0, (50, 1))
+        stats = accumulate_stats(X, w, 0)
+        before = stats.scatter.copy()
         floored = pca_mod._floored_stats(stats)
-        eps = 1e-10 * (float(np.trace(before)) / 7 + 1e-12)
-        assert floored.sum_outer.tobytes() == (before + eps * np.eye(7)).tobytes()
-        assert stats.sum_outer.tobytes() == before.tobytes()
+        m = stats.mean
+        second = float(np.trace(before)) + stats.weight * float(m @ m)
+        eps = 1e-10 * (second / 7 + 1e-12)
+        # the mean diagonal of the second moment about the origin
+        assert second == pytest.approx(np.sum(w * X * X), rel=1e-13)
+        assert floored.scatter.tobytes() == (before + eps * np.eye(7)).tobytes()
+        assert stats.scatter.tobytes() == before.tobytes()
+        assert floored.mean is stats.mean and floored.weight == stats.weight
 
 
 class TestFit:
