@@ -31,7 +31,6 @@ from .gmm import (
 )
 from .linalg import (
     cholesky_spd,
-    logdet_spd,
     project_stiefel,
     random_stiefel,
 )
@@ -39,9 +38,6 @@ from .metrics import bicubic_upsample, nearest_upsample, psnr
 from .palm import (
     MStepProblem,
     SolverConfig,
-    eval_G,
-    grad_G_U,
-    grad_G_b,
     ipalm_minimize,
     palm_minimize,
 )

@@ -212,12 +212,16 @@ def gmm_mstep(X, beta):
 
 
 def kmeanspp_indices(X, K, rng):
-    """Indices of K seed samples chosen by squared-distance-weighted sampling.
+    """Indices of K seed samples chosen by squared-distance-weighted sampling,
+    and for every sample the index into them of its nearest seed.
 
     The squared distance of every sample to a new seed c is expanded as
     ||x||^2 - 2 x.c + ||c||^2: the squared norms are computed once and each
     seed costs one matrix-vector product, with no N x n temporary. The
     expansion is clamped at 0, so rounding never yields a negative weight.
+    Next to each sample's running minimum the pass keeps the seed that set
+    it; a later seed takes a sample only when strictly nearer, so a tie goes
+    to the earlier seed, and a seed drawn when every minimum is 0 takes none.
     """
     N = X.shape[0]
     if N < K:
@@ -233,18 +237,21 @@ def kmeanspp_indices(X, K, rng):
 
     chosen = [int(rng.integers(N))]
     d2 = dist2(chosen[0])
+    labels = np.zeros(N, dtype=np.intp)
     for _ in range(K - 1):
         total = d2.sum()
         if total <= 0.0:
             chosen.append(int(rng.integers(N)))
             continue
         chosen.append(int(rng.choice(N, p=d2 / total)))
-        np.minimum(d2, dist2(chosen[-1]), out=d2)
-    return np.asarray(chosen)
+        new = dist2(chosen[-1])
+        np.copyto(labels, len(chosen) - 1, where=new < d2)
+        np.minimum(d2, new, out=d2)
+    return np.asarray(chosen), labels
 
 
 def _init_params(X, K, base_cov, rng):
-    seeds = kmeanspp_indices(X, K, rng)
+    seeds, _ = kmeanspp_indices(X, K, rng)
     return GmmParams(
         alpha=np.full(K, 1.0 / K),
         means=X[seeds].copy(),

@@ -11,9 +11,9 @@ import numpy as np
 
 from .errors import InvalidShape, NotPositiveDefinite, RankDeficient
 
-# Relative scale of the one-shot diagonal shift applied to a near-singular
-# matrix before Cholesky gives up. The absolute fallback keeps an all-zero
-# scatter (identical samples) factorable.
+# Relative scale of the diagonal shift regularize_spd adds to a covariance that
+# does not factor. The absolute fallback keeps an all-zero scatter (identical
+# samples) factorable.
 SPD_FLOOR_SCALE = 1e-6
 _FLOOR_ABS = 1e-12
 
@@ -29,44 +29,37 @@ def try_cholesky(M):
     return L
 
 
-def _floor_shift(M):
-    return SPD_FLOOR_SCALE * max(float(np.trace(M)) / M.shape[0], _FLOOR_ABS)
-
-
 def cholesky_spd(M):
     """Lower-triangular L with L L^T = M for symmetric positive definite M.
 
-    A failing factorization gets one trace-scaled diagonal shift before the
-    matrix is rejected; EM covariances estimated from few samples routinely
-    need this.
+    M is factored as stored, with no shift: a covariance is floored where it
+    is estimated (regularize_spd), so the density it scores is the one the
+    model holds. Raises InvalidShape unless M is square and
+    NotPositiveDefinite when the factorization fails.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidShape(f"expected a square matrix, got shape {M.shape}")
     L = try_cholesky(M)
     if L is None:
-        L = try_cholesky(M + _floor_shift(M) * np.eye(M.shape[0]))
-    if L is None:
-        raise NotPositiveDefinite("Cholesky failed even after the diagonal shift")
+        raise NotPositiveDefinite("matrix is not positive definite")
     return L
 
 
 def regularize_spd(M):
-    """Return a symmetrized copy of M, diagonally shifted if needed so that
-    Cholesky succeeds. Raises NotPositiveDefinite if the shift is not enough."""
+    """The floor of every estimated covariance: the symmetrized copy
+    (M + M^T) / 2, returned unchanged when it factors and otherwise with
+    SPD_FLOOR_SCALE * max(trace / n, _FLOOR_ABS) added to its diagonal. EM
+    covariances estimated from few samples routinely need the shift. Raises
+    NotPositiveDefinite if the shifted matrix does not factor either."""
     M = 0.5 * (np.asarray(M, dtype=float) + np.asarray(M, dtype=float).T)
     if try_cholesky(M) is not None:
         return M
-    M = M + _floor_shift(M) * np.eye(M.shape[0])
+    n = M.shape[0]
+    M = M + SPD_FLOOR_SCALE * max(float(np.trace(M)) / n, _FLOOR_ABS) * np.eye(n)
     if try_cholesky(M) is None:
         raise NotPositiveDefinite("matrix is not positive definite")
     return M
-
-
-def logdet_spd(M):
-    """log det M computed as 2 sum(log diag L) from the Cholesky factor."""
-    L = cholesky_spd(M)
-    return 2.0 * float(np.sum(np.log(np.diag(L))))
 
 
 def solve_triangular(a, b, lower=False):

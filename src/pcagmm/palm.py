@@ -153,6 +153,7 @@ class _Point:
         return _Point(self.problem, self.frame, b)
 
     def grad_U(self):
+        """Euclidean gradient of G with respect to U, in the ambient space."""
         w, sig2 = self.problem.stats.weight, self.problem.sigma**2
         L, r, t = self.L, self.r, self.t
         SU = self.frame.scatter_U(self.e, self.g)
@@ -168,6 +169,8 @@ class _Point:
         )
 
     def grad_b(self):
+        """Gradient of G with respect to b; only its part in ker(U^T) is
+        affine in b."""
         sig2 = self.problem.sigma**2
         U, r, v, z = self.frame.U, self.r, self.v, self.z
         # perpendicular residual pull plus the in-subspace log-volume trade-off
@@ -176,28 +179,6 @@ class _Point:
 
 def _point(problem, U, b):
     return _Point(problem, FrameMoments(problem.stats, U), b)
-
-
-def eval_G(problem, U, b):
-    """Value of the M-step objective at (U, b)."""
-    return _point(problem, U, b).G
-
-
-def grad_G_U(problem, U, b):
-    """Euclidean gradient of the objective with respect to U.
-
-    Matches central finite differences of eval_G in the ambient space.
-    """
-    return _point(problem, U, b).grad_U()
-
-
-def grad_G_b(problem, U, b):
-    """Gradient of the objective with respect to b.
-
-    Note the component along span(U) is a nonlinear function of b; only the
-    part in ker(U^T) is affine in b.
-    """
-    return _point(problem, U, b).grad_b()
 
 
 def _perturb_tangent(U, rng, scale=1e-6):

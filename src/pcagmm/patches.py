@@ -98,11 +98,10 @@ def extract_pairs(high, low, geom, stride=1, max_patches=None, seed=None):
     if max_patches is not None and max_patches < total:
         rng = np.random.default_rng(seed)
         flat = np.sort(rng.choice(total, size=max_patches, replace=False))
-        per_axis = np.unravel_index(flat, counts)
-        origins = np.stack([axes[a][idx] for a, idx in enumerate(per_axis)], axis=1)
     else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        origins = np.stack([m.ravel() for m in mesh], axis=1)
+        flat = np.arange(total)
+    per_axis = np.unravel_index(flat, counts)
+    origins = np.stack([axes[a][idx] for a, idx in enumerate(per_axis)], axis=1)
 
     low_windows = sliding_window_view(low, (geom.tau,) * geom.dims)
     high_windows = sliding_window_view(high, (geom.high_edge,) * geom.dims)

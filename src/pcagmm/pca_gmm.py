@@ -33,7 +33,7 @@ from .palm import (
     ipalm_minimize,
     palm_minimize,
 )
-from .stats import SufficientStats, accumulate_stats
+from .stats import _EMPTY_REL, SufficientStats, accumulate_stats
 
 
 @dataclass
@@ -184,9 +184,6 @@ def pcagmm_estep(model, X):
     return beta
 
 
-_WEIGHT_FLOOR = 1e-12  # total responsibility below which a component is empty
-
-
 def recover_component(stats, basis, offset):
     """Reduced mean and covariance implied by the optimized frame and offset.
 
@@ -195,36 +192,32 @@ def recover_component(stats, basis, offset):
     intentionally not re-centered at the recovered mean, so the pair (mean,
     cov) matches the objective the solver minimized. The norm of the returned
     mean measures how far the offset optimization is from absorbing the
-    subspace component of the data mean.
+    subspace component of the data mean. The covariance is floored by
+    regularize_spd, the one floor of every estimated covariance. Raises
+    EmptyComponent when the mass is below _EMPTY_REL.
     """
-    if stats.weight < _WEIGHT_FLOOR:
+    if stats.weight < _EMPTY_REL:
         raise EmptyComponent()
     T, _, mean = FrameMoments(stats, basis).about(offset)
     return mean, regularize_spd(T / stats.weight)
-
-
-def _nearest_seed(X, seeds):
-    """Index into `seeds` of the seed sample nearest to each row of X; ties
-    go to the lowest index. The squared distances, less the ||x||^2 that is
-    common to a row, are ||s||^2 - 2 x.s: one N x K product for all seeds."""
-    S = X[seeds]
-    d2 = X @ S.T
-    d2 *= -2.0
-    d2 += np.einsum("ij,ij->i", S, S)
-    return np.argmin(d2, axis=1)
 
 
 def _init_model(X, K, d, sigma, rng):
     """Per-cluster PCA initialization: offset at the cluster mean, frame from
     the top eigenvectors of the cluster scatter, zero reduced mean.
 
+    The clusters are the nearest-seed labels of the k-means++ seeding pass
+    (kmeanspp_indices). A cluster of fewer than two points, such as the empty
+    one of a seed drawn when every sample already sat on a seed, is
+    initialized from all the data.
+
     Each centred cluster Y of m points is factored on its smaller side: the
     n x n scatter Y^T Y when m > n, otherwise the m x m Gram matrix Y Y^T,
     whose eigenvectors E give the scatter's as the columns of Y^T E. The
     frame is the Q factor of those top d columns, zero-padded to d, so it is
     orthonormal even where the cluster has rank below d."""
-    N, n = X.shape
-    labels = _nearest_seed(X, kmeanspp_indices(X, K, rng))
+    n = X.shape[1]
+    _, labels = kmeanspp_indices(X, K, rng)
 
     bases = np.empty((K, n, d))
     offsets = np.empty((K, n))

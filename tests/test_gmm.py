@@ -4,7 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from pcagmm.errors import DegenerateDensity, EmptyComponent, InvalidShape
+from pcagmm.errors import (
+    DegenerateDensity,
+    EmptyComponent,
+    InvalidShape,
+    NotPositiveDefinite,
+)
 from pcagmm.gmm import (
     EmConfig,
     GmmParams,
@@ -146,6 +151,20 @@ class TestEstep:
         )
         with pytest.raises(DegenerateDensity):
             gmm_estep(params, np.full((1, 1), 1e200))
+
+    @pytest.mark.parametrize("score", [gmm_estep, gmm_nll])
+    def test_covariance_that_does_not_factor_raises(self, score):
+        # covariances are floored where they are estimated; scoring factors
+        # them as stored instead of scoring a shifted matrix
+        params = GmmParams(
+            alpha=np.full(2, 0.5),
+            means=np.zeros((2, 2)),
+            covs=np.stack([np.eye(2), np.zeros((2, 2))]),
+        )
+        with pytest.raises(NotPositiveDefinite):
+            score(params, np.random.default_rng(2).standard_normal((5, 2)))
+        with pytest.raises(NotPositiveDefinite):
+            gauss_logpdf(np.zeros(2), np.zeros(2), params.covs[1])
 
 
 class TestMstep:
@@ -370,13 +389,13 @@ class TestKmeansppSeeding:
         distinct = 1e3 + rng.standard_normal((40, 6))
         X = np.concatenate([distinct, distinct[:15], distinct[:15]])
         for seed in range(5):
-            idx = kmeanspp_indices(X, 30, np.random.default_rng(seed))
+            idx, _ = kmeanspp_indices(X, 30, np.random.default_rng(seed))
             assert idx.shape == (30,)
             assert len({X[i].tobytes() for i in idx}) == 30
 
     def test_identical_rows(self):
         X = np.full((12, 5), 0.37)
-        idx = kmeanspp_indices(X, 4, np.random.default_rng(0))
+        idx, _ = kmeanspp_indices(X, 4, np.random.default_rng(0))
         assert idx.shape == (4,)
         assert np.all((0 <= idx) & (idx < 12))
 
@@ -385,6 +404,6 @@ class TestKmeansppSeeding:
         rng = np.random.default_rng(20 + seed)
         X = rng.standard_normal((300, 8)) * rng.uniform(0.1, 3.0, 8) + 2.0
         np.testing.assert_array_equal(
-            kmeanspp_indices(X, 20, np.random.default_rng(seed)),
+            kmeanspp_indices(X, 20, np.random.default_rng(seed))[0],
             exact_kmeanspp_indices(X, 20, np.random.default_rng(seed)),
         )

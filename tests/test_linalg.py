@@ -7,11 +7,12 @@ import scipy.linalg
 
 import pcagmm
 from pcagmm.errors import InvalidShape, NotPositiveDefinite, RankDeficient
+from pcagmm.gmm import gauss_logpdf
 from pcagmm.linalg import (
     cholesky_spd,
-    logdet_spd,
     project_stiefel,
     random_stiefel,
+    regularize_spd,
     solve_triangular,
     stiefel_defect,
 )
@@ -53,28 +54,57 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefinite):
             cholesky_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
-    def test_near_singular_gets_floored(self):
-        v = np.array([1.0, 2.0])
-        M = np.outer(v, v)  # rank one, trace > 0
-        L = cholesky_spd(M)
-        assert np.all(np.isfinite(L))
-
     def test_non_square_raises(self):
         with pytest.raises(InvalidShape):
             cholesky_spd(np.zeros((2, 3)))
 
 
+class TestRegularize:
+    def test_factorable_matrix_is_only_symmetrized(self):
+        rng = np.random.default_rng(4)
+        M = random_spd(rng, 5)
+        M[0, 1] += 1e-9
+        out = regularize_spd(M)
+        np.testing.assert_array_equal(out, 0.5 * (M + M.T))
+        np.testing.assert_array_equal(out, out.T)
+
+    def test_singular_psd_gets_the_trace_scaled_shift(self):
+        v = np.array([1.0, 2.0])
+        M = np.outer(v, v)  # rank one, trace 5
+        with pytest.raises(NotPositiveDefinite):
+            cholesky_spd(M)  # factored as stored, with no shift
+        want = M + 1e-6 * max(np.trace(M) / 2, 1e-12) * np.eye(2)
+        np.testing.assert_array_equal(regularize_spd(M), want)
+
+    def test_zero_matrix_factors_after_the_shift(self):
+        out = regularize_spd(np.zeros((3, 3)))
+        np.testing.assert_array_equal(out, 1e-6 * 1e-12 * np.eye(3))
+        assert np.all(np.isfinite(cholesky_spd(out)))
+
+    def test_strongly_indefinite_raises(self):
+        with pytest.raises(NotPositiveDefinite):
+            regularize_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def density_logdet(M):
+    """log det M read off the Gaussian normalizer, whose log-determinant the
+    density kernel takes from the Cholesky factor:
+    log N(0; 0, M) = -(n log 2 pi + log det M) / 2."""
+    n = M.shape[0]
+    return -2.0 * gauss_logpdf(np.zeros(n), np.zeros(n), M) - n * np.log(2.0 * np.pi)
+
+
 class TestLogdet:
     def test_identity(self):
-        assert logdet_spd(np.eye(4)) == 0.0
+        assert density_logdet(np.eye(4)) == 0.0
 
     def test_diagonal(self):
-        assert logdet_spd(np.diag([4.0, 1.0])) == pytest.approx(np.log(4.0), abs=1e-12)
+        assert density_logdet(np.diag([4.0, 1.0])) == pytest.approx(np.log(4.0), abs=1e-12)
 
     def test_against_cofactor_expansion(self):
         rng = np.random.default_rng(3)
         M = random_spd(rng, 5)
-        assert logdet_spd(M) == pytest.approx(np.log(det_by_cofactors(M)), rel=1e-9)
+        assert density_logdet(M) == pytest.approx(np.log(det_by_cofactors(M)), rel=1e-9)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("seed", range(10))
@@ -89,7 +119,7 @@ class TestLogdet:
                 - M[0, 1] * (M[1, 0] * M[2, 2] - M[1, 2] * M[2, 0])
                 + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0])
             )
-        assert logdet_spd(M) == pytest.approx(np.log(det), rel=1e-10)
+        assert density_logdet(M) == pytest.approx(np.log(det), rel=1e-10)
 
 
 class TestSolveTriangular:

@@ -5,9 +5,9 @@ import pytest
 
 import pcagmm.gmm as gmm_mod
 import pcagmm.pca_gmm as pca_mod
-from pcagmm.errors import EmptyComponent, InvalidParameter
+from pcagmm.errors import EmptyComponent, InvalidParameter, NotPositiveDefinite
 from pcagmm.gmm import EmConfig, GmmParams, fit_gmm, gauss_logpdf, gmm_estep, gmm_nll
-from pcagmm.linalg import logdet_spd, random_stiefel, stiefel_defect
+from pcagmm.linalg import random_stiefel, stiefel_defect
 from pcagmm.palm import SolverConfig
 from pcagmm.pca_gmm import (
     PcaGmmModel,
@@ -137,8 +137,8 @@ class TestLift:
         lifted = lift_component(
             random_stiefel(n, d, seed=2), rng.standard_normal(n), np.zeros(d), cov, sigma
         )
-        assert logdet_spd(lifted.cov) == pytest.approx(
-            logdet_spd(cov) + (n - d) * np.log(sigma**2), rel=1e-8
+        assert np.linalg.slogdet(lifted.cov)[1] == pytest.approx(
+            np.linalg.slogdet(cov)[1] + (n - d) * np.log(sigma**2), rel=1e-8
         )
 
 
@@ -194,6 +194,15 @@ class TestEstep:
         model = random_model(rng, 1, 5, 2)
         beta = pcagmm_estep(model, rng.standard_normal((12, 5)))
         np.testing.assert_allclose(beta, 1.0)
+
+    @pytest.mark.parametrize("score", [pcagmm_estep, pcagmm_objective])
+    def test_covariance_that_does_not_factor_raises(self, score):
+        # a trace-scaled shift would make diag(1, -1e-7) factor; scoring
+        # factors the covariance as stored and scores no shifted matrix
+        model = random_model(np.random.default_rng(4), 1, 5, 2)
+        model.covs[0] = np.diag([1.0, -1e-7])
+        with pytest.raises(NotPositiveDefinite):
+            score(model, np.random.default_rng(5).standard_normal((12, 5)))
 
     def test_matches_plain_estep_at_full_dimension(self):
         rng = np.random.default_rng(5)
@@ -406,28 +415,46 @@ class TestRecover:
 
 class TestInit:
     def test_nearest_seed_matches_broadcast_argmin_with_ties(self):
-        # integer coordinates keep every squared distance exact, so points
-        # halfway between two seeds tie exactly; seed 3 repeats seed 1
-        X = np.stack([np.arange(11.0), np.zeros(11)], axis=1)
-        seeds = np.array([2, 6, 8, 6])
-        d2 = ((X[:, None, :] - X[seeds][None, :, :]) ** 2).sum(axis=2)
-        ties = np.sum(d2 == d2.min(axis=1, keepdims=True), axis=1)
-        assert np.any(ties == 3) and np.any(ties == 2)
-        labels = pca_mod._nearest_seed(X, seeds)
-        np.testing.assert_array_equal(labels, np.argmin(d2, axis=1))
+        # integer coordinates keep every squared distance exact, so grid
+        # points halfway between two seeds tie exactly; the seeding pass must
+        # give a tie to the earlier seed, as argmin does
+        X = np.stack(np.meshgrid(np.arange(7.0), np.arange(7.0)), axis=-1)
+        X = X.reshape(-1, 2)
+        n_ties = 0
+        for seed in range(5):
+            seeds, labels = gmm_mod.kmeanspp_indices(
+                X, 8, np.random.default_rng(seed)
+            )
+            d2 = ((X[:, None, :] - X[seeds][None, :, :]) ** 2).sum(axis=2)
+            n_ties += np.sum(np.sum(d2 == d2.min(axis=1, keepdims=True), axis=1) > 1)
+            np.testing.assert_array_equal(labels, np.argmin(d2, axis=1))
+        assert n_ties > 0
 
     def test_nearest_seed_matches_broadcast_argmin(self):
         # on float data the product form rounds differently from the direct
         # distances; it must agree wherever the nearest seed is well defined
         rng = np.random.default_rng(17)
         X = rng.standard_normal((500, 9)) * 3.0 + 5.0
-        seeds = rng.choice(500, 25, replace=False)
+        seeds, labels = gmm_mod.kmeanspp_indices(X, 25, rng)
         d2 = ((X[:, None, :] - X[seeds][None, :, :]) ** 2).sum(axis=2)
         two = np.sort(d2, axis=1)[:, :2]
         clear = two[:, 1] - two[:, 0] > 1e-9 * two[:, 1]
         assert np.mean(clear) > 0.9
-        labels = pca_mod._nearest_seed(X, seeds)
         np.testing.assert_array_equal(labels[clear], np.argmin(d2, axis=1)[clear])
+
+    def test_seed_drawn_on_zero_distances_gets_no_rows(self):
+        # three distinct integer rows, four copies each: after three seeds
+        # every squared distance is exactly 0, so seeds 3 and 4 are drawn
+        # uniformly, take no rows and start from all the data
+        X = np.tile([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]], (4, 1))
+        seeds, labels = gmm_mod.kmeanspp_indices(X, 5, np.random.default_rng(0))
+        assert len({X[i].tobytes() for i in seeds[:3]}) == 3
+        assert sorted(set(labels.tolist())) == [0, 1, 2]
+        np.testing.assert_array_equal(X, X[seeds][labels])
+        model = pca_mod._init_model(X, 5, 1, 0.1, np.random.default_rng(0))
+        for k in (3, 4):
+            np.testing.assert_allclose(model.offsets[k], X.mean(axis=0), rtol=1e-12)
+        np.testing.assert_array_equal(model.offsets[:3], X[seeds[:3]])
 
     def test_seeding_goes_through_the_pca_gmm_attribute(self, monkeypatch):
         # the benchmark's tracer wraps pca_gmm.kmeanspp_indices
@@ -448,8 +475,7 @@ class TestInit:
         rng = np.random.default_rng(19)
         X = rng.standard_normal((60, 5)) * np.linspace(2.0, 0.5, 5)
         X[0] = 1e3
-        seeds = gmm_mod.kmeanspp_indices(X, 2, np.random.default_rng(0))
-        labels = pca_mod._nearest_seed(X, seeds)
+        _, labels = gmm_mod.kmeanspp_indices(X, 2, np.random.default_rng(0))
         k = labels[0]
         assert np.flatnonzero(labels == k).tolist() == [0]
         model = pca_mod._init_model(X, 2, 2, 0.1, np.random.default_rng(0))
