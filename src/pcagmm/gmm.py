@@ -74,16 +74,14 @@ class EmConfig:
 
 @dataclass
 class EmTrace:
-    """Objective value before the first update and after every iteration,
-    with the per-component mean norms at the same points, and why EM stopped:
-    "tolerance" (the last decrease fell below the tolerance), "rise" (the
-    objective rose by more than the tolerance; EM stops there too) or
-    "max_iters"."""
+    """Objective value before the first update and after every iteration, and
+    why EM stopped: "tolerance" (the last decrease fell below the tolerance),
+    "rise" (the objective rose by more than the tolerance; EM stops there too)
+    or "max_iters"."""
 
     objective: np.ndarray
     stop: str
     n_reseeds: int = 0
-    mean_norms: np.ndarray | None = None
 
 
 def gauss_logpdf(x, mu, sigma):
@@ -276,12 +274,10 @@ def _run_em(X, model, log_joint, mstep, reset, config):
     """
     N = X.shape[0]
     objective = []
-    mean_norms = []
     n_reseeds = 0
     while True:
         beta, norm = _normalize_rows(log_joint(model, X))
         objective.append(float(-np.sum(norm)))
-        mean_norms.append(np.linalg.norm(model.means, axis=1))
         if len(objective) > 1:
             prev = objective[-2]
             band = config.tol * max(abs(prev), 1.0)
@@ -302,10 +298,7 @@ def _run_em(X, model, log_joint, mstep, reset, config):
             beta, _ = _normalize_rows(log_joint(model, X))
         model = mstep(model, X, beta)
     return model, EmTrace(
-        objective=np.asarray(objective),
-        stop=stop,
-        n_reseeds=n_reseeds,
-        mean_norms=np.asarray(mean_norms),
+        objective=np.asarray(objective), stop=stop, n_reseeds=n_reseeds
     )
 
 

@@ -118,16 +118,10 @@ def extract_pairs(high, low, geom, stride=1, max_patches=None, seed=None):
 
 def extract_low(image, tau):
     """Enumerate the stride-one low-resolution patches of an image, all at
-    once, with their origins recorded for aggregation."""
+    once, with their origins recorded for aggregation: the single tile of
+    low_patch_tiles."""
     image = np.asarray(image, dtype=float)
-    if image.ndim not in (2, 3):
-        raise InvalidShape(f"expected a 2D or 3D image, got {image.ndim}D")
-    axes = _origin_grid(image.shape, tau, 1)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    origins = np.stack([m.ravel() for m in mesh], axis=1)
-    windows = sliding_window_view(image, (tau,) * image.ndim)
-    data = windows[tuple(origins.T)].reshape(origins.shape[0], -1)
-    return PatchSet(data=data, origins=origins)
+    return next(low_patch_tiles(image, tau, max(1, image.size)))
 
 
 def low_patch_tiles(image, tau, size):

@@ -26,13 +26,7 @@ from .linalg import regularize_spd, stiefel_defect
 
 # palm_minimize is re-exported next to ipalm_minimize, where the benchmark's
 # tracer looks both solvers up.
-from .palm import (
-    FrameMoments,
-    MStepProblem,
-    SolverConfig,
-    ipalm_minimize,
-    palm_minimize,
-)
+from .palm import MStepProblem, SolverConfig, ipalm_minimize, palm_minimize
 from .stats import _EMPTY_REL, SufficientStats, accumulate_stats
 
 
@@ -187,19 +181,19 @@ def pcagmm_estep(model, X):
 def recover_component(stats, basis, offset):
     """Reduced mean and covariance implied by the optimized frame and offset.
 
-    The mean is g = U^T e and the covariance T / w = U^T S(b) U / w, with
-    e = stats.mean - b and S(b) the scatter about the offset; it is
-    intentionally not re-centered at the recovered mean, so the pair (mean,
-    cov) matches the objective the solver minimized. The norm of the returned
-    mean measures how far the offset optimization is from absorbing the
-    subspace component of the data mean. The covariance is floored by
+    The mean is g = U^T e and the covariance T / w with T = U^T C U + w g g^T,
+    the projected scatter about the offset, where e = stats.mean - b and C is
+    the scatter about the weighted mean. The solver returns b = stats.mean, so
+    a fitted component has g = 0 exactly and T = U^T C U; the pair (mean, cov)
+    matches the objective the solver minimized. The covariance is floored by
     regularize_spd, the one floor of every estimated covariance. Raises
     EmptyComponent when the mass is below _EMPTY_REL.
     """
     if stats.weight < _EMPTY_REL:
         raise EmptyComponent()
-    T, _, mean = FrameMoments(stats, basis).about(offset)
-    return mean, regularize_spd(T / stats.weight)
+    g = basis.T @ (stats.mean - offset)
+    T = basis.T @ (stats.scatter @ basis) + stats.weight * np.outer(g, g)
+    return g, regularize_spd(T / stats.weight)
 
 
 def _init_model(X, K, d, sigma, rng):
@@ -266,11 +260,12 @@ def fit_pcagmm(X, K, d, sigma, em_config=None, solver_config=None, seed=0):
     """EM fit of the subspace mixture.
 
     Every iteration runs the responsibility update, accumulates per-component
-    moments, minimizes each component's frame/offset objective warm-started
-    at the previous iterate, and recovers the reduced mean and covariance.
-    A starved component restarts at a sample with zero reduced mean and
-    covariance max(1e-6, sigma^2) I, keeping its frame. Returns the model and
-    the trace of _run_em, whose mean norms are the gauge diagnostic.
+    moments, minimizes each component's frame objective warm-started at the
+    previous frame with the offset at its exact minimizer, the weighted mean,
+    and recovers the reduced mean (exactly zero) and covariance. A starved
+    component restarts at a sample with zero reduced mean and covariance
+    max(1e-6, sigma^2) I, keeping its frame. Returns the model and the trace
+    of _run_em.
     """
     X = np.asarray(X, dtype=float)
     sigma = check_sigma(sigma)
@@ -285,9 +280,7 @@ def fit_pcagmm(X, K, d, sigma, em_config=None, solver_config=None, seed=0):
         for k in range(K):
             stats = _floored_stats(accumulate_stats(X, beta, k))
             problem = MStepProblem(stats=stats, sigma=model.sigma)
-            U, b, _ = ipalm_minimize(
-                problem, model.bases[k], model.offsets[k], solver_config
-            )
+            U, b, _ = ipalm_minimize(problem, model.bases[k], config=solver_config)
             model.bases[k] = U
             model.offsets[k] = b
             model.means[k], model.covs[k] = recover_component(stats, U, b)

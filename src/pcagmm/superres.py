@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import InvalidShape, NotPositiveDefinite
 from .gmm import GmmParams, _log_scores, _whitening
-from .linalg import regularize_spd, solve_triangular, try_cholesky
+from .linalg import regularized_cholesky, solve_triangular, try_cholesky
 
 # aggregate and extract_low are re-exported where the benchmark's tracer looks them up.
 from .patches import OverlapAdd, aggregate, extract_low, low_patch_tiles
@@ -101,13 +101,11 @@ def precompute_conditionals(model, geom):
     )
     for k in range(K):
         mean, cov_low, left, right = _conditioning_moments(model, k, nh)
-        L = try_cholesky(cov_low)
-        if L is None:
-            try:
-                L = try_cholesky(regularize_spd(cov_low))
-            except NotPositiveDefinite:
-                L = None
-        if L is None:
+        try:
+            L = try_cholesky(cov_low)
+            if L is None:
+                _, L = regularized_cholesky(cov_low)
+        except NotPositiveDefinite:
             warnings.warn(f"excluding component {k}: low block not positive definite")
             continue
         # gain = C_HL C_LL^{-1} = A (C_LL^{-1} R)^T through the factor

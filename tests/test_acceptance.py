@@ -78,6 +78,20 @@ def test_criterion_1_lifting_identity_suite():
     )
 
 
+def raw_objective(X, w, sigma, U, b):
+    """The frame/offset objective G(U, b) straight from the raw samples:
+    weighted residual energy off span(U), plus the Mahalanobis energy and the
+    log-volume of the reduced mean and covariance about b."""
+    weight = w.sum()
+    Y = X - b
+    mean = U.T @ (w @ Y) / weight
+    cov = U.T @ sum(wi * np.outer(y, y) for wi, y in zip(w, Y)) @ U / weight
+    off = sum(wi * np.sum((y - U @ (U.T @ y)) ** 2) for wi, y in zip(w, Y))
+    Z = Y @ U - mean
+    mah = sum(wi * z @ np.linalg.solve(cov, z) for wi, z in zip(w, Z))
+    return off / sigma**2 + mah + weight * np.linalg.slogdet(cov)[1]
+
+
 def test_criterion_2_gradient_suite():
     start = time.time()
     rng = np.random.default_rng(2)
@@ -90,35 +104,46 @@ def test_criterion_2_gradient_suite():
         stats = accumulate_stats(X, w[:, None], 0)
         problem = MStepProblem(stats=stats, sigma=float(rng.uniform(0.1, 1.0)))
         U = random_stiefel(n, d, seed=int(rng.integers(1 << 30)))
-        b = rng.standard_normal(n)
         h = 1e-6
 
-        gU = palm_mod._point(problem, U, b).grad_U()
+        gU = palm_mod._Point(problem, U).grad_U()
         fd = np.zeros_like(gU)
         for i in range(n):
             for j in range(d):
                 E = np.zeros_like(U)
                 E[i, j] = h
-                plus = palm_mod._point(problem, U + E, b).G
-                minus = palm_mod._point(problem, U - E, b).G
+                plus = palm_mod._Point(problem, U + E).G
+                minus = palm_mod._Point(problem, U - E).G
                 fd[i, j] = (plus - minus) / (2 * h)
         worst = max(worst, np.linalg.norm(gU - fd) / max(np.linalg.norm(fd), 1.0))
 
-        gb = palm_mod._point(problem, U, b).grad_b()
-        fdb = np.zeros_like(b)
-        for i in range(n):
-            e = np.zeros_like(b)
-            e[i] = h
-            plus = palm_mod._point(problem, U, b + e).G
-            minus = palm_mod._point(problem, U, b - e).G
-            fdb[i] = (plus - minus) / (2 * h)
-        worst = max(worst, np.linalg.norm(gb - fdb) / max(np.linalg.norm(fdb), 1.0))
+    # the offset in closed form: the weighted mean the solver returns is no
+    # worse than a random offset under the sample-based objective
+    offset_rng = np.random.default_rng(22)
+    worst_gap = -np.inf
+    for _ in range(50):
+        n = int(offset_rng.integers(3, 21))
+        d = int(offset_rng.integers(1, min(5, n) + 1))
+        X = offset_rng.standard_normal((30, n)) @ np.diag(
+            offset_rng.uniform(0.5, 2.0, n)
+        )
+        w = offset_rng.uniform(0.05, 1.0, 30)
+        sigma = float(offset_rng.uniform(0.1, 1.0))
+        U = random_stiefel(n, d, seed=int(offset_rng.integers(1 << 30)))
+        b = offset_rng.standard_normal(n)
+        stats = accumulate_stats(X, w[:, None], 0)
+        _, m, _ = palm_minimize(MStepProblem(stats=stats, sigma=sigma), U)
+        at_b = raw_objective(X, w, sigma, U, b)
+        worst_gap = max(
+            worst_gap, (raw_objective(X, w, sigma, U, m) - at_b) / abs(at_b)
+        )
     elapsed = time.time() - start
     report(
         2,
-        "gradients vs finite differences",
-        worst < 1e-5 and elapsed < 30.0,
-        f"worst rel err {worst:.2e}, {elapsed:.1f}s",
+        "gradients vs finite differences, offset in closed form",
+        worst < 1e-5 and worst_gap <= 1e-10 and elapsed < 30.0,
+        f"worst rel err {worst:.2e}, worst offset gap {worst_gap:.2e}, "
+        f"{elapsed:.1f}s",
     )
 
 
@@ -134,8 +159,7 @@ def test_criterion_3_descent_suites():
         stats = accumulate_stats(X, w[:, None], 0)
         problem = MStepProblem(stats=stats, sigma=float(rng.uniform(0.1, 0.8)))
         U0 = random_stiefel(n, d, seed=int(rng.integers(1 << 30)))
-        b0 = rng.standard_normal(n)
-        _, _, trace = palm_minimize(problem, U0, b0, SolverConfig(max_iters=60))
+        _, _, trace = palm_minimize(problem, U0, config=SolverConfig(max_iters=60))
         palm_ok = palm_ok and bool(np.all(np.diff(trace) <= 0.0))
 
     em_ok = True
@@ -202,7 +226,7 @@ def test_criterion_4_oracle_equivalences():
     stats = accumulate_stats(Xp, np.ones((300, 1)), 0)
     problem = MStepProblem(stats=stats, sigma=1e-3)
     center = stats.mean
-    U, _, _ = palm_minimize(problem, random_stiefel(8, 2, seed=0), center.copy())
+    U, _, _ = palm_minimize(problem, random_stiefel(8, 2, seed=0))
     scatter = (Xp - center).T @ (Xp - center)
     _, vecs = np.linalg.eigh(scatter)
     cosines = np.linalg.svd(vecs[:, -2:].T @ U, compute_uv=False)
@@ -212,7 +236,7 @@ def test_criterion_4_oracle_equivalences():
     stats2 = SufficientStats(weight=1.0, mean=np.zeros(2), scatter=np.diag([4.0, 1.0]))
     problem2 = MStepProblem(stats=stats2, sigma=1.0)
     U0 = np.array([[np.cos(1.2)], [np.sin(1.2)]])
-    _, _, trace = palm_minimize(problem2, U0, np.zeros(2))
+    _, _, trace = palm_minimize(problem2, U0)
     gap = float(trace[-1] - (-4.0 + np.log(4.0)))
 
     elapsed = time.time() - start
