@@ -14,7 +14,7 @@ from .formats import load_model, model_header, read_image, save_model, write_ima
 from .gmm import EmConfig, fit_gmm
 from .metrics import psnr
 from .patches import PatchGeometry, extract_pairs
-from .pca_gmm import check_sigma, fit_pcagmm
+from .pca_gmm import PcaGmmModel, check_sigma, fit_pcagmm
 from .superres import reconstruct
 
 # default training patch budget for volumes; 2D enumerates exhaustively
@@ -118,9 +118,13 @@ def _cmd_psnr(args):
 def _cmd_inspect(args):
     model, geom = load_model(args.model)
     print(model_header(model, geom))
-    norms = np.linalg.norm(model.means, axis=1)
     for k in range(model.n_components):
-        print(f"component {k:3d}  alpha={model.alpha[k]:.6e}  |mean|={norms[k]:.6e}")
+        if isinstance(model, PcaGmmModel):
+            r = model.variances[k] / model.sigma**2
+            detail = f"variance/sigma^2 min={r.min():.6e} max={r.max():.6e}"
+        else:
+            detail = f"|mean|={np.linalg.norm(model.means[k]):.6e}"
+        print(f"component {k:3d}  alpha={model.alpha[k]:.6e}  {detail}")
     return 0
 
 

@@ -23,7 +23,7 @@ from .gmm import GmmParams
 from .patches import PatchGeometry
 from .pca_gmm import PcaGmmModel
 
-MODEL_MAGIC = b"PGMM1\n"
+MODEL_MAGIC = b"PGMM2\n"
 VOLUME_MAGIC = b"VOL1"
 _VOL_DTYPES = {0: "<f4", 1: "<f8", 2: "u1", 3: "<u2"}
 _VOL_CODES = {np.dtype(v): k for k, v in _VOL_DTYPES.items()}
@@ -35,7 +35,7 @@ _VOL_CODES = {np.dtype(v): k for k, v in _VOL_DTYPES.items()}
 MODEL_KINDS = {
     "pcagmm": (
         PcaGmmModel,
-        {"bases": "nd", "offsets": "n", "means": "d", "covs": "dd"},
+        {"bases": "nd", "offsets": "n", "variances": "d"},
     ),
     "gmm": (GmmParams, {"means": "n", "covs": "nn"}),
 }
@@ -169,7 +169,7 @@ def _kind(model):
 
 
 def model_header(model, geom=None):
-    """The PGMM1 header line of a model and its patch geometry, without the
+    """The model-file header line of a model and its patch geometry, without the
     newline; `pcagmm inspect` prints it as its first line."""
     d = getattr(model, "reduced_dim", model.dim)
     sigma = float(getattr(model, "sigma", 0.0))
@@ -200,7 +200,8 @@ def load_model(path):
     saved without one."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:6] != MODEL_MAGIC:
+    pgmm1 = raw[:6] == b"PGMM1\n"  # differs from PGMM2 only in the pcagmm fields
+    if raw[:6] != MODEL_MAGIC and not pgmm1:
         if raw[:4] == MODEL_MAGIC[:4]:
             raise VersionMismatch(f"unsupported model magic {raw[:6]!r}")
         raise CorruptHeader("not a mixture-model file")
@@ -219,6 +220,8 @@ def load_model(path):
         raise CorruptHeader("malformed model header line") from exc
     if kind not in MODEL_KINDS:
         raise CorruptHeader(f"unknown model kind {kind!r}")
+    if pgmm1 and kind != "gmm":
+        raise VersionMismatch(f"{kind} model file in the old PGMM1 layout; retrain it")
     if min(K, n, d) < 1:
         raise CorruptHeader(f"model header extents K={K} n={n} d={d} are below 1")
     cls, layout = MODEL_KINDS[kind]

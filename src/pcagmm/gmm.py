@@ -48,22 +48,21 @@ class GmmParams:
         K, n = self.n_components, self.dim
         if self.means.shape != (K, n) or self.covs.shape != (K, n, n):
             raise InvalidShape("inconsistent parameter shapes")
-        check_mixture(self.alpha, self.covs, self.means)
+        check_mixture(self.alpha, self.means)
+        # each covariance must factor as it stands, with no diagonal shift
+        for k, cov in enumerate(self.covs):
+            if try_cholesky(cov) is None:
+                raise NotPositiveDefinite(f"covariance {k} is not positive definite")
         return self
 
 
-def check_mixture(alpha, covs, *finite):
+def check_mixture(alpha, *finite):
     """Raise InvalidParameter unless the mixture weights are nonnegative and
-    sum to one and every parameter in `finite` is finite, and
-    NotPositiveDefinite unless every covariance factors as it stands, with no
-    diagonal shift."""
+    sum to one and every parameter in `finite` is finite."""
     if not (np.all(alpha >= 0.0) and abs(alpha.sum() - 1.0) <= 1e-12):
         raise InvalidParameter("mixture weights are not on the probability simplex")
     if not all(np.all(np.isfinite(x)) for x in finite):
         raise InvalidParameter("mixture parameters are not finite")
-    for k, cov in enumerate(covs):
-        if try_cholesky(cov) is None:
-            raise NotPositiveDefinite(f"covariance {k} is not positive definite")
 
 
 @dataclass
@@ -111,38 +110,33 @@ def _logpdf_rows(X, Linv, shift, log_norm, work=None):
     return log_norm - 0.5 * np.einsum("ij,ij->i", Z, Z)
 
 
-def _log_scores(X, log_alpha, whiten, project=None):
-    """N x K matrix of log alpha_k + log N(rows_k; mu_k, L_k L_k^T), where
-    whiten(k) gives component k's whitening (see _whitening) and rows_k is X,
-    or project(k) for components that score the samples in their own
-    coordinates.
+def _log_scores(X, log_alpha, whiten):
+    """N x K matrix of log alpha_k + log N(x; mu_k, L_k L_k^T), where whiten(k)
+    gives component k's whitening (see _whitening).
 
-    Only one component's whitening and rows are alive at a time, and every
-    component is whitened in one N x m work array. A component whose log
-    weight is -inf scores -inf without calling whiten or project.
+    Only one component's whitening is alive at a time, and every component is
+    whitened in one N x n work array. A component whose log weight is -inf
+    scores -inf without calling whiten.
     """
     out = np.full((X.shape[0], len(log_alpha)), -np.inf)
     work = None
     for k in np.flatnonzero(log_alpha != -np.inf):
-        rows = X if project is None else project(k)
         Linv, shift, log_norm = whiten(k)
         if work is None:
-            work = np.empty((rows.shape[0], Linv.shape[0]))
-        out[:, k] = log_alpha[k] + _logpdf_rows(rows, Linv, shift, log_norm, work)
+            work = np.empty((X.shape[0], Linv.shape[0]))
+        out[:, k] = log_alpha[k] + _logpdf_rows(X, Linv, shift, log_norm, work)
     return out
 
 
-def _log_joint(model, X, project=None):
+def _log_joint(model, X):
     """N x K matrix of log(alpha_k) + log density of x_i under component k,
-    for any mixture with weights alpha, means and covariances covs; project
-    is passed on to _log_scores."""
+    for any mixture with weights alpha, means and covariances covs."""
     with np.errstate(divide="ignore"):
         log_alpha = np.log(model.alpha)
     return _log_scores(
         X,
         log_alpha,
         lambda k: _whitening(cholesky_spd(model.covs[k]), model.means[k]),
-        project,
     )
 
 

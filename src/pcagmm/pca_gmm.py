@@ -2,9 +2,10 @@
 
 Each component models the data as a d-dimensional Gaussian living on an
 affine subspace (orthonormal frame U, offset b) plus isotropic residual
-noise of scale sigma off the subspace. Such a component is equivalent to a
-full-dimensional Gaussian with mean U mu + b and covariance
-U Sigma U^T + sigma^2 (I - U U^T); all mixture computations stay in the
+noise of scale sigma off the subspace. Turning U within its span changes no
+density, so each frame is held in the eigenbasis of its reduced covariance:
+a component is the Gaussian with mean b and covariance
+U diag(v) U^T + sigma^2 (I - U U^T); all mixture computations stay in the
 reduced dimension. lift_component below forms that n x n covariance as a
 reference; no production path calls it.
 """
@@ -13,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyComponent, InvalidParameter, InvalidShape
+from .errors import EmptyComponent, InvalidParameter, InvalidShape, NotPositiveDefinite
 from .gmm import (
     EmConfig,
-    _log_joint as _gaussian_log_joint,
     _normalize_rows,
     _run_em,
     check_mixture,
@@ -34,19 +34,17 @@ from .stats import _EMPTY_REL, SufficientStats, accumulate_stats
 class PcaGmmModel:
     """Mixture of subspace Gaussians.
 
-    alpha  : (K,) mixture weights on the simplex
-    bases  : (K, n, d) orthonormal frames
-    offsets: (K, n) subspace offsets
-    means  : (K, d) reduced means
-    covs   : (K, d, d) reduced covariances, symmetric positive definite
-    sigma  : residual noise scale off the subspace, > 0
+    alpha    : (K,) mixture weights on the simplex
+    bases    : (K, n, d) orthonormal frames
+    offsets  : (K, n) component means
+    variances: (K, d) variances along the frame columns, positive and finite
+    sigma    : residual noise scale off the subspace, > 0
     """
 
     alpha: np.ndarray
     bases: np.ndarray
     offsets: np.ndarray
-    means: np.ndarray
-    covs: np.ndarray
+    variances: np.ndarray
     sigma: float
 
     @property
@@ -66,13 +64,14 @@ class PcaGmmModel:
         if (
             self.bases.shape != (K, n, d)
             or self.offsets.shape != (K, n)
-            or self.means.shape != (K, d)
-            or self.covs.shape != (K, d, d)
+            or self.variances.shape != (K, d)
             or d > n
         ):
             raise InvalidShape("inconsistent parameter shapes")
         check_sigma(self.sigma)
-        check_mixture(self.alpha, self.covs, self.means, self.offsets)
+        check_mixture(self.alpha, self.offsets, self.variances)
+        if not np.all(self.variances > 0.0):
+            raise NotPositiveDefinite("a reduced variance is not positive")
         for k in range(K):
             if not stiefel_defect(self.bases[k]) <= 1e-10:
                 raise InvalidParameter(f"frame {k} is not orthonormal")
@@ -98,18 +97,18 @@ class LiftedGaussian:
     cov: np.ndarray
 
 
-def lift_component(basis, offset, mean, cov, sigma):
+def lift_component(basis, offset, variances, sigma):
     """Full-dimensional mean and covariance of a subspace component.
 
-    Uses the explicit form U Sigma U^T + sigma^2 (I - U U^T), which costs
+    Uses the explicit form U diag(v) U^T + sigma^2 (I - U U^T), which costs
     O(n^2 d) and never inverts an n x n matrix.
     """
     basis = np.asarray(basis, dtype=float)
     n = basis.shape[0]
-    lifted_cov = basis @ np.asarray(cov, dtype=float) @ basis.T
+    lifted_cov = (basis * np.asarray(variances, dtype=float)) @ basis.T
     lifted_cov += sigma**2 * (np.eye(n) - basis @ basis.T)
     return LiftedGaussian(
-        mean=basis @ np.asarray(mean, dtype=float) + offset,
+        mean=np.array(offset, dtype=float),
         cov=0.5 * (lifted_cov + lifted_cov.T),
     )
 
@@ -137,28 +136,33 @@ def _sq_dist(X, offsets):
 
 
 def _log_joint(model, X):
-    """N x K matrix of per-component log scores.
+    """N x K matrix of per-component log scores (-inf where alpha_k is 0).
 
     Scores the reduced coordinates P = U_k^T (x - b_k), formed as
-    X U_k - b_k^T U_k (N x d), and subtracts the off-subspace residual energy
+    X U_k - b_k^T U_k (N x d) and divided in place by sqrt(v_k), as standard
+    normals, and subtracts the off-subspace residual energy
     ||x - b_k||^2 - ||P||^2, clamped at 0, over 2 sigma^2. The squared
     distances of every component come from _sq_dist, so no component makes
-    an N x n array.
+    an N x n array, and nothing is factored.
     """
     X = np.asarray(X, dtype=float)
-    residual = _sq_dist(X, model.offsets)
-
-    def reduced(k):
+    v = model.variances
+    if not np.all(v > 0.0):
+        raise NotPositiveDefinite("a reduced variance is not positive")
+    with np.errstate(divide="ignore"):
+        log_norm = np.log(model.alpha) - 0.5 * np.log(2 * np.pi * v).sum(axis=1)
+    scores = _sq_dist(X, model.offsets)
+    for k in range(model.n_components):
         U = model.bases[k]
         P = X @ U
         P -= model.offsets[k] @ U
-        residual[:, k] -= np.einsum("ij,ij->i", P, P)
-        np.maximum(residual[:, k], 0.0, out=residual[:, k])
-        return P
-
-    scores = _gaussian_log_joint(model, X, reduced)
-    residual *= 0.5 / model.sigma**2
-    scores -= residual
+        energy = scores[:, k]
+        energy -= np.einsum("ij,ij->i", P, P)
+        np.maximum(energy, 0.0, out=energy)
+        energy *= 0.5 / model.sigma**2
+        P /= np.sqrt(v[k])
+        energy += 0.5 * np.einsum("ij,ij->i", P, P)
+        np.subtract(log_norm[k], energy, out=energy)
     return scores
 
 
@@ -178,27 +182,23 @@ def pcagmm_estep(model, X):
     return beta
 
 
-def recover_component(stats, basis, offset):
-    """Reduced mean and covariance implied by the optimized frame and offset.
-
-    The mean is g = U^T e and the covariance T / w with T = U^T C U + w g g^T,
-    the projected scatter about the offset, where e = stats.mean - b and C is
-    the scatter about the weighted mean. The solver returns b = stats.mean, so
-    a fitted component has g = 0 exactly and T = U^T C U; the pair (mean, cov)
-    matches the objective the solver minimized. The covariance is floored by
-    regularize_spd, the one floor of every estimated covariance. Raises
-    EmptyComponent when the mass is below _EMPTY_REL.
+def recover_component(stats, basis):
+    """Frame and variances of the component whose frame spans `basis` and
+    whose offset is stats.mean: the projected scatter U^T C U / w, floored by
+    regularize_spd (the one floor of every estimated covariance), is
+    Q diag(v) Q^T with v descending, and the frame turns to U Q, which spans
+    what U spans. Raises EmptyComponent when the mass is below _EMPTY_REL.
     """
     if stats.weight < _EMPTY_REL:
         raise EmptyComponent()
-    g = basis.T @ (stats.mean - offset)
-    T = basis.T @ (stats.scatter @ basis) + stats.weight * np.outer(g, g)
-    return g, regularize_spd(T / stats.weight)
+    T = basis.T @ (stats.scatter @ basis)
+    v, Q = np.linalg.eigh(regularize_spd(T / stats.weight))
+    return basis @ Q[:, ::-1], v[::-1]
 
 
 def _init_model(X, K, d, sigma, rng):
-    """Per-cluster PCA initialization: offset at the cluster mean, frame from
-    the top eigenvectors of the cluster scatter, zero reduced mean.
+    """Per-cluster PCA initialization: offset at the cluster mean, frame and
+    variances from the top eigenpairs of the cluster scatter.
 
     The clusters are the nearest-seed labels of the k-means++ seeding pass
     (kmeanspp_indices). A cluster of fewer than two points, such as the empty
@@ -215,7 +215,7 @@ def _init_model(X, K, d, sigma, rng):
 
     bases = np.empty((K, n, d))
     offsets = np.empty((K, n))
-    covs = np.empty((K, d, d))
+    variances = np.empty((K, d))
     for k in range(K):
         pts = X[labels == k]
         if pts.shape[0] < 2:
@@ -232,13 +232,12 @@ def _init_model(X, K, d, sigma, rng):
         floor = 1e-6 * top[0] + 1e-12
         bases[k] = np.linalg.qr(frame)[0]
         offsets[k] = center
-        covs[k] = np.diag(np.maximum(top, floor))
+        variances[k] = np.maximum(top, floor)
     return PcaGmmModel(
         alpha=np.full(K, 1.0 / K),
         bases=bases,
         offsets=offsets,
-        means=np.zeros((K, d)),
-        covs=covs,
+        variances=variances,
         sigma=float(sigma),
     )
 
@@ -262,10 +261,10 @@ def fit_pcagmm(X, K, d, sigma, em_config=None, solver_config=None, seed=0):
     Every iteration runs the responsibility update, accumulates per-component
     moments, minimizes each component's frame objective warm-started at the
     previous frame with the offset at its exact minimizer, the weighted mean,
-    and recovers the reduced mean (exactly zero) and covariance. A starved
-    component restarts at a sample with zero reduced mean and covariance
-    max(1e-6, sigma^2) I, keeping its frame. Returns the model and the trace
-    of _run_em.
+    and turns the frame to the eigenbasis of its reduced covariance
+    (recover_component). A starved component restarts at a sample with every
+    variance max(1e-6, sigma^2), keeping its frame. Returns the model and
+    the trace of _run_em.
     """
     X = np.asarray(X, dtype=float)
     sigma = check_sigma(sigma)
@@ -281,14 +280,12 @@ def fit_pcagmm(X, K, d, sigma, em_config=None, solver_config=None, seed=0):
             stats = _floored_stats(accumulate_stats(X, beta, k))
             problem = MStepProblem(stats=stats, sigma=model.sigma)
             U, b, _ = ipalm_minimize(problem, model.bases[k], config=solver_config)
-            model.bases[k] = U
+            model.bases[k], model.variances[k] = recover_component(stats, U)
             model.offsets[k] = b
-            model.means[k], model.covs[k] = recover_component(stats, U, b)
         return model
 
     def reset(model, k, x):
         model.offsets[k] = x
-        model.means[k] = 0.0
-        model.covs[k] = np.eye(d) * max(1e-6, model.sigma**2)
+        model.variances[k] = max(1e-6, model.sigma**2)
 
     return _run_em(X, model, _log_joint, mstep, reset, em_config or EmConfig())

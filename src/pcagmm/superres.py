@@ -52,19 +52,17 @@ def _conditioning_moments(model, k, nh):
     """Mean, low covariance block C_LL and cross-block factors (A, R) of
     component k, with C_HL = A R^T, or C_HL = R^T when A is None.
 
-    A subspace component is read from its reduced parameters: with
-    D = Sigma - sigma^2 I, C = sigma^2 I + U D U^T, so C_LL = sigma^2 I +
-    U_L D U_L^T and C_HL = U_H (U_L D)^T, and R has d columns instead of
-    n_high. No n x n array is formed.
+    A subspace component is read from its reduced parameters: its mean is b,
+    and with D = diag(v) - sigma^2 I, C = sigma^2 I + U D U^T, so C_LL =
+    sigma^2 I + U_L D U_L^T and C_HL = U_H (U_L D)^T, and R has d columns
+    instead of n_high. No n x n array is formed.
     """
     if isinstance(model, PcaGmmModel):
-        U = model.bases[k]
-        sigma2 = model.sigma**2
-        ul_d = U[nh:] @ (model.covs[k] - sigma2 * np.eye(U.shape[1]))
-        cov_low = ul_d @ U[nh:].T
-        cov_low.flat[:: cov_low.shape[0] + 1] += sigma2
+        U, sigma2 = model.bases[k], model.sigma**2
+        ul_d = U[nh:] * (model.variances[k] - sigma2)
+        cov_low = ul_d @ U[nh:].T + sigma2 * np.eye(U.shape[0] - nh)
         cov_low = 0.5 * (cov_low + cov_low.T)
-        return U @ model.means[k] + model.offsets[k], cov_low, U[:nh], ul_d
+        return model.offsets[k], cov_low, U[:nh], ul_d
     cov = model.covs[k]
     return model.means[k], cov[nh:, nh:], None, cov[:nh, nh:].T
 

@@ -56,15 +56,15 @@ def test_criterion_1_lifting_identity_suite():
         d = int(rng.integers(1, n + 1))
         basis = random_stiefel(n, d, seed=int(rng.integers(1 << 30)))
         offset = rng.standard_normal(n)
-        mean = rng.standard_normal(d)
-        cov = random_cov(rng, d)
+        variances = rng.uniform(0.5, 4.0, d)
         sigma = float(rng.uniform(0.05, 1.5))
-        lifted = lift_component(basis, offset, mean, cov, sigma)
+        lifted = lift_component(basis, offset, variances, sigma)
         for _ in range(20):
             x = rng.standard_normal(n)
             y = x - offset
             p = basis.T @ y
-            lhs = gauss_logpdf(p, mean, cov) - (y @ y - p @ p) / (2 * sigma**2)
+            reduced = gauss_logpdf(p, np.zeros(d), np.diag(variances))
+            lhs = reduced - (y @ y - p @ p) / (2 * sigma**2)
             rhs = 0.5 * (n - d) * np.log(2 * np.pi * sigma**2) + gauss_logpdf(
                 x, lifted.mean, lifted.cov
             )
@@ -207,12 +207,12 @@ def test_criterion_4_oracle_equivalences():
     params = GmmParams(
         alpha=alpha / alpha.sum(), means=rng.standard_normal((K, n)), covs=covs
     )
+    variances, bases = np.linalg.eigh(params.covs)
     model = PcaGmmModel(
         alpha=params.alpha,
-        bases=np.repeat(np.eye(n)[None], K, axis=0),
-        offsets=np.zeros((K, n)),
-        means=params.means,
-        covs=params.covs,
+        bases=bases,
+        offsets=params.means,
+        variances=variances,
         sigma=0.5,
     )
     X = rng.standard_normal((200, n))
@@ -424,7 +424,6 @@ def test_criterion_9_format_roundtrips(tmp_path):
             K = int(rng.integers(1, 6))
             n = int(rng.integers(2, 10))
             d = int(rng.integers(1, n + 1))
-            covs = np.stack([random_cov(rng, d) for _ in range(K)])
             alpha = rng.uniform(0.1, 1.0, K)
             model = PcaGmmModel(
                 alpha=alpha / alpha.sum(),
@@ -435,8 +434,7 @@ def test_criterion_9_format_roundtrips(tmp_path):
                     ]
                 ),
                 offsets=rng.standard_normal((K, n)),
-                means=rng.standard_normal((K, d)),
-                covs=covs,
+                variances=rng.uniform(0.5, 4.0, (K, d)),
                 sigma=float(rng.uniform(0.01, 2.0)),
             )
             path = tmp_path / f"m{case}.pgmm"
@@ -445,8 +443,7 @@ def test_criterion_9_format_roundtrips(tmp_path):
             ok = ok and np.array_equal(loaded.alpha, model.alpha)
             ok = ok and np.array_equal(loaded.bases, model.bases)
             ok = ok and np.array_equal(loaded.offsets, model.offsets)
-            ok = ok and np.array_equal(loaded.means, model.means)
-            ok = ok and np.array_equal(loaded.covs, model.covs)
+            ok = ok and np.array_equal(loaded.variances, model.variances)
             ok = ok and loaded.sigma == model.sigma
         else:
             shape = tuple(int(v) for v in rng.integers(2, 7, size=3))

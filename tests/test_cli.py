@@ -33,13 +33,13 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def run_process(*argv):
-    """The command in a fresh interpreter, so that an uncaught exception shows
-    as a traceback and exit code 1."""
+def run_process(*argv, flags=()):
+    """The command in a fresh interpreter started with `flags`, so that an
+    uncaught exception shows as a traceback and exit code 1."""
     src = str(Path(pcagmm.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "pcagmm.cli", *map(str, argv)],
+        [sys.executable, *flags, "-m", "pcagmm.cli", *map(str, argv)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -131,7 +131,14 @@ class TestTrainSuperresPsnr:
         assert run("inspect", "--model", model) == 0
         out = capsys.readouterr().out
         assert "kind=pcagmm" in out and "q=2 tau=3 dims=2" in out
-        assert out.count("alpha=") == 2 and "|mean|=" in out
+        assert out.count("alpha=") == 2 and "|mean|=" not in out
+        fitted, _ = load_model(model)
+        lines = out.splitlines()[1:]
+        for k, line in enumerate(lines):
+            ratios = fitted.variances[k] / fitted.sigma**2
+            assert line.endswith(
+                f"variance/sigma^2 min={ratios.min():.6e} max={ratios.max():.6e}"
+            )
 
     @pytest.mark.parametrize("kind", ["gmm", "pcagmm"])
     @pytest.mark.parametrize("geom", [None, PatchGeometry(tau=3, q=2, dims=3)])
@@ -146,8 +153,7 @@ class TestTrainSuperresPsnr:
                 alpha=alpha,
                 bases=np.stack([random_stiefel(5, 2, seed=s) for s in (1, 2)]),
                 offsets=np.ones((2, 5)),
-                means=np.zeros((2, 2)),
-                covs=np.stack([np.eye(2)] * 2),
+                variances=np.ones((2, 2)),
                 sigma=0.3,
             )
         path = tmp_path / "m.pgmm"
@@ -165,17 +171,28 @@ class TestTrainSuperresPsnr:
             model,
             GmmParams(alpha=np.array([5.0]), means=np.zeros((1, 2)), covs=np.eye(2)[None]),
         )
-        src = str(Path(pcagmm.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, *optimize, "-m", "pcagmm.cli", "inspect", "--model", str(model)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-            timeout=120,
-        )
+        proc = run_process("inspect", "--model", model, flags=optimize)
         assert proc.returncode == 3
         assert "simplex" in proc.stderr
+
+    @pytest.mark.parametrize("optimize", [[], ["-O"]])
+    @pytest.mark.parametrize("variance", [0.0, -1.0, np.nan])
+    def test_invalid_variance_is_data_error(self, tmp_path, optimize, variance):
+        model = tmp_path / "bad.pgmm"
+        save_model(
+            model,
+            PcaGmmModel(
+                alpha=np.array([0.5, 0.5]),
+                bases=np.stack([random_stiefel(4, 2, seed=s) for s in (1, 2)]),
+                offsets=np.zeros((2, 4)),
+                variances=np.array([[1.0, 0.5], [1.0, variance]]),
+                sigma=0.1,
+            ),
+        )
+        proc = run_process("inspect", "--model", model, flags=optimize)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert ("finite" if np.isnan(variance) else "positive") in proc.stderr
 
     def test_underflowing_gamma_is_numerical_failure(self, scene, capsys):
         tmp, high = scene
@@ -218,7 +235,7 @@ class TestTrainSuperresPsnr:
     def test_header_extents_below_one_are_data_error(self, tmp_path):
         model = tmp_path / "m.pgmm"
         model.write_bytes(
-            b"PGMM1\nkind=pcagmm K=-1 n=-1 d=0 sigma=0.1 q=0 tau=0 dims=0\n"
+            b"PGMM2\nkind=pcagmm K=-1 n=-1 d=0 sigma=0.1 q=0 tau=0 dims=0\n"
         )
         proc = run_process("inspect", "--model", model)
         assert proc.returncode == 3, proc.stderr
@@ -232,7 +249,7 @@ class TestTrainSuperresPsnr:
             "--kind", "pcagmm", "--components", 2, "--tau", 3, "--factor", 2,
             "--reduced-dim", 3, "--em-iters", 3, "--seed", 0)
         fitted, geom = load_model(model)
-        fitted.means[0, 0] = np.nan
+        fitted.offsets[0, 0] = np.nan
         save_model(model, fitted, geom)
         capsys.readouterr()
         assert run("superres", "--low", low, "--model", model,
@@ -284,15 +301,14 @@ class TestTrainSuperresPsnr:
                 alpha=alpha,
                 bases=np.stack([random_stiefel(n, 2, seed=s) for s in (1, 2)]),
                 offsets=np.full((2, n), 0.5),
-                means=np.zeros((2, 2)),
-                covs=np.stack([np.eye(2), np.diag([1.0, -1e-7])]),
+                variances=np.array([[1.0, 1.0], [1.0, -1e-7]]),
                 sigma=0.1,
             )
         save_model(model, fitted, geom)
         proc = run_process("superres", "--low", low, "--model", model,
                            "--output", tmp / "o.pgm")
         assert proc.returncode == 3, proc.stderr
-        assert "positive definite" in proc.stderr
+        assert "not positive" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_model_payload_of_odd_length_is_data_error(self, tmp_path):

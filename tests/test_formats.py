@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from pcagmm import cli
 from pcagmm.errors import (
     CorruptHeader,
     InvalidParameter,
@@ -21,20 +22,26 @@ from pcagmm.pca_gmm import PcaGmmModel
 
 def random_pcagmm(rng, K, n, d):
     alpha = rng.uniform(0.1, 1.0, K)
-    covs = np.empty((K, d, d))
-    for k in range(K):
-        A = rng.standard_normal((d, d))
-        covs[k] = A @ A.T + np.eye(d)
     return PcaGmmModel(
         alpha=alpha / alpha.sum(),
         bases=np.stack(
             [random_stiefel(n, d, seed=int(rng.integers(1 << 30))) for _ in range(K)]
         ),
         offsets=rng.standard_normal((K, n)),
-        means=rng.standard_normal((K, d)),
-        covs=covs,
+        variances=rng.uniform(1.0, 5.0, (K, d)),
         sigma=float(rng.uniform(0.01, 1.0)),
     )
+
+
+def pgmm1_pcagmm_bytes(K=2, n=3, d=2):
+    """A PGMM1 PCA-GMM file: per component a frame, an offset, a reduced mean
+    and a full d x d reduced covariance."""
+    header = f"kind=pcagmm K={K} n={n} d={d} sigma=0.1 q=2 tau=1 dims=2\n"
+    component = np.concatenate(
+        [np.eye(n)[:, :d].ravel(), np.zeros(n), np.zeros(d), np.eye(d).ravel()]
+    )
+    payload = np.concatenate([np.full(K, 1.0 / K), np.tile(component, K)])
+    return b"PGMM1\n" + header.encode("ascii") + payload.astype("<f8").tobytes()
 
 
 def random_gmm(rng, K, n):
@@ -187,6 +194,48 @@ class TestModelFile:
         np.testing.assert_array_equal(loaded.alpha, model.alpha)
         np.testing.assert_array_equal(loaded.bases, model.bases)
         np.testing.assert_array_equal(loaded.offsets, model.offsets)
+        np.testing.assert_array_equal(loaded.variances, model.variances)
+
+    @pytest.mark.parametrize("kind", ["gmm", "pcagmm"])
+    def test_save_load_save_is_byte_identical(self, tmp_path, kind):
+        rng = np.random.default_rng(10)
+        model = random_gmm(rng, 3, 4) if kind == "gmm" else random_pcagmm(rng, 3, 6, 2)
+        first, second = tmp_path / "a.pgmm", tmp_path / "b.pgmm"
+        save_model(first, model, PatchGeometry(tau=2, q=2, dims=3))
+        save_model(second, *load_model(first))
+        assert first.read_bytes()[:6] == b"PGMM2\n"
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_pgmm1_pcagmm_file_must_be_retrained(self, tmp_path):
+        path = tmp_path / "old.pgmm"
+        path.write_bytes(pgmm1_pcagmm_bytes())
+        with pytest.raises(VersionMismatch, match="retrain"):
+            load_model(path)
+
+    @pytest.mark.parametrize("command", ["superres", "inspect"])
+    def test_pgmm1_pcagmm_file_exits_3_asking_to_retrain(self, tmp_path, capsys, command):
+        model = tmp_path / "old.pgmm"
+        model.write_bytes(pgmm1_pcagmm_bytes())
+        low = tmp_path / "low.pgm"
+        write_image(low, np.full((4, 4), 0.5))
+        argv = {
+            "superres": ["superres", "--low", low, "--model", model,
+                         "--output", tmp_path / "o.pgm"],
+            "inspect": ["inspect", "--model", model],
+        }[command]
+        assert cli.main([str(a) for a in argv]) == 3
+        assert "retrain" in capsys.readouterr().err
+        assert not (tmp_path / "o.pgm").exists()
+
+    def test_pgmm1_gmm_file_loads_to_the_same_arrays(self, tmp_path):
+        # the gmm payload is the same in both versions
+        model = random_gmm(np.random.default_rng(11), 2, 3)
+        path = tmp_path / "old.pgmm"
+        save_model(path, model, PatchGeometry(tau=1, q=2, dims=2))
+        path.write_bytes(b"PGMM1\n" + path.read_bytes()[6:])
+        loaded, geom = load_model(path)
+        assert geom == PatchGeometry(tau=1, q=2, dims=2)
+        np.testing.assert_array_equal(loaded.alpha, model.alpha)
         np.testing.assert_array_equal(loaded.means, model.means)
         np.testing.assert_array_equal(loaded.covs, model.covs)
 
@@ -230,18 +279,19 @@ class TestModelFile:
             model.covs[1] = 0.0
         else:
             model = random_pcagmm(rng, 2, 5, 2)
-            model.covs[1] = np.diag([1.0, -1e-7])
-        with pytest.raises(NotPositiveDefinite, match="covariance 1"):
+            model.variances[1] = [1.0, -1e-7]
+        message = "covariance 1 is not positive definite" if kind == "gmm" else "variance"
+        with pytest.raises(NotPositiveDefinite, match=message):
             model.validate()
         path = tmp_path / "m.pgmm"
         save_model(path, model)
-        with pytest.raises(CorruptHeader, match="positive definite"):
+        with pytest.raises(CorruptHeader, match="not positive"):
             load_model(path)
 
     @pytest.mark.parametrize(
         "kind, field, value",
         [
-            ("pcagmm", "means", np.nan),
+            ("pcagmm", "variances", np.nan),
             ("pcagmm", "offsets", np.inf),
             ("pcagmm", "sigma", np.inf),
             ("gmm", "means", np.nan),
@@ -268,7 +318,7 @@ class TestModelFile:
         # K + K * per_comp is 0 here, so the empty payload fits the header
         path = tmp_path / "m.pgmm"
         path.write_bytes(
-            b"PGMM1\nkind=pcagmm K=-1 n=-1 d=0 sigma=0.1 q=0 tau=0 dims=0\n"
+            b"PGMM2\nkind=pcagmm K=-1 n=-1 d=0 sigma=0.1 q=0 tau=0 dims=0\n"
         )
         with pytest.raises(CorruptHeader, match="below 1"):
             load_model(path)
@@ -277,7 +327,7 @@ class TestModelFile:
         path = tmp_path / "m.pgmm"
         save_model(path, random_gmm(np.random.default_rng(5), 1, 3))
         raw = path.read_bytes()
-        assert raw[:6] == b"PGMM1\n"
+        assert raw[:6] == b"PGMM2\n"
         line = raw[6 : raw.index(b"\n", 6)].decode("ascii")
         assert line.startswith("kind=gmm K=1 n=3 d=3 sigma=0.0")
 
@@ -308,7 +358,7 @@ class TestModelFile:
 
     @pytest.mark.parametrize(
         "kind, order",
-        [("pcagmm", ["bases", "offsets", "means", "covs"]), ("gmm", ["means", "covs"])],
+        [("pcagmm", ["bases", "offsets", "variances"]), ("gmm", ["means", "covs"])],
     )
     def test_layout_alpha_then_components(self, tmp_path, kind, order):
         rng = np.random.default_rng(9)
@@ -344,7 +394,7 @@ class TestModelFile:
             save_model(path, model, PatchGeometry(tau=2, q=2, dims=2))
             loaded, _ = load_model(path)
             np.testing.assert_array_equal(loaded.bases, model.bases)
-            np.testing.assert_array_equal(loaded.covs, model.covs)
+            np.testing.assert_array_equal(loaded.variances, model.variances)
             assert loaded.sigma == model.sigma
         else:
             model = random_gmm(rng, K, n)

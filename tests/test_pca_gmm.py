@@ -25,27 +25,30 @@ def random_cov(rng, d, shift=0.5):
     return A @ A.T + shift * np.eye(d)
 
 
+def random_variances(rng, *shape):
+    return rng.uniform(0.5, 4.0, shape)
+
+
 def random_model(rng, K, n, d, sigma=0.3):
     alpha = rng.uniform(0.2, 1.0, K)
     return PcaGmmModel(
         alpha=alpha / alpha.sum(),
         bases=np.stack([random_stiefel(n, d, seed=int(rng.integers(1 << 30))) for _ in range(K)]),
         offsets=rng.standard_normal((K, n)),
-        means=rng.standard_normal((K, d)),
-        covs=np.stack([random_cov(rng, d) for _ in range(K)]),
+        variances=random_variances(rng, K, d),
         sigma=sigma,
     )
 
 
 def full_dim_view(params):
-    """Embed plain mixture parameters as a subspace model with d = n."""
-    K, n = params.alpha.size, params.means.shape[1]
+    """Embed plain mixture parameters as a subspace model with d = n: each
+    frame is the eigenbasis of a covariance, the variances its eigenvalues."""
+    variances, bases = np.linalg.eigh(params.covs)
     return PcaGmmModel(
         alpha=params.alpha.copy(),
-        bases=np.repeat(np.eye(n)[None], K, axis=0),
-        offsets=np.zeros((K, n)),
-        means=params.means.copy(),
-        covs=params.covs.copy(),
+        bases=bases,
+        offsets=params.means.copy(),
+        variances=variances,
         sigma=0.7,
     )
 
@@ -53,9 +56,7 @@ def full_dim_view(params):
 def lifted_params(model):
     """Lift every component into a plain full-dimensional mixture."""
     lifted = [
-        lift_component(
-            model.bases[k], model.offsets[k], model.means[k], model.covs[k], model.sigma
-        )
+        lift_component(model.bases[k], model.offsets[k], model.variances[k], model.sigma)
         for k in range(model.n_components)
     ]
     return GmmParams(
@@ -65,33 +66,32 @@ def lifted_params(model):
     )
 
 
-def log_joint_factor(basis, offset, mean, cov, sigma, x):
+def log_joint_factor(basis, offset, variances, sigma, x):
     """Left side of the lifting identity in log form: reduced density times
     the off-subspace residual factor."""
     y = x - offset
     p = basis.T @ y
     residual = y @ y - p @ p
-    return gauss_logpdf(p, mean, cov) - residual / (2.0 * sigma**2)
+    return gauss_logpdf(p, np.zeros(p.size), np.diag(variances)) - residual / (
+        2.0 * sigma**2
+    )
 
 
 class TestLift:
     def test_identity_at_full_dimension(self):
         rng = np.random.default_rng(0)
-        cov = random_cov(rng, 4)
+        variances = random_variances(rng, 4)
         mean = rng.standard_normal(4)
-        lifted = lift_component(np.eye(4), np.zeros(4), mean, cov, 0.5)
+        lifted = lift_component(np.eye(4), mean, variances, 0.5)
         np.testing.assert_allclose(lifted.mean, mean, atol=1e-14)
-        np.testing.assert_allclose(lifted.cov, cov, atol=1e-14)
+        np.testing.assert_allclose(lifted.cov, np.diag(variances), atol=1e-14)
 
     def test_axis_aligned_block_structure(self):
         s, sigma = 2.5, 0.4
         offset = np.array([0.3, -0.7])
-        mu = np.array([1.2])
-        lifted = lift_component(
-            np.array([[1.0], [0.0]]), offset, mu, np.array([[s]]), sigma
-        )
+        lifted = lift_component(np.array([[1.0], [0.0]]), offset, np.array([s]), sigma)
         np.testing.assert_allclose(lifted.cov, np.diag([s, sigma**2]), atol=1e-14)
-        np.testing.assert_allclose(lifted.mean, np.array([mu[0], 0.0]) + offset)
+        np.testing.assert_allclose(lifted.mean, offset)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_lifting_identity(self, seed):
@@ -100,13 +100,12 @@ class TestLift:
         n, d = 8, 3
         basis = random_stiefel(n, d, seed=seed)
         offset = rng.standard_normal(n)
-        mean = rng.standard_normal(d)
-        cov = random_cov(rng, d)
+        variances = random_variances(rng, d)
         sigma = rng.uniform(0.1, 0.8)
-        lifted = lift_component(basis, offset, mean, cov, sigma)
+        lifted = lift_component(basis, offset, variances, sigma)
         for _ in range(20):
             x = rng.standard_normal(n)
-            lhs = log_joint_factor(basis, offset, mean, cov, sigma, x)
+            lhs = log_joint_factor(basis, offset, variances, sigma, x)
             rhs = 0.5 * (n - d) * np.log(2 * np.pi * sigma**2) + gauss_logpdf(
                 x, lifted.mean, lifted.cov
             )
@@ -115,12 +114,12 @@ class TestLift:
     def test_eigenvalue_structure(self):
         rng = np.random.default_rng(7)
         n, d, sigma = 9, 3, 0.35
-        cov = random_cov(rng, d)
+        variances = random_variances(rng, d)
         lifted = lift_component(
-            random_stiefel(n, d, seed=1), rng.standard_normal(n), rng.standard_normal(d), cov, sigma
+            random_stiefel(n, d, seed=1), rng.standard_normal(n), variances, sigma
         )
         lifted_evals = np.sort(np.linalg.eigvalsh(lifted.cov))
-        reduced_evals = np.sort(np.linalg.eigvalsh(cov))
+        reduced_evals = np.sort(variances)
         stray = np.sort(
             np.setdiff1d(
                 np.arange(n),
@@ -133,12 +132,12 @@ class TestLift:
     def test_logdet_relation(self):
         rng = np.random.default_rng(8)
         n, d, sigma = 7, 2, 0.6
-        cov = random_cov(rng, d)
+        variances = random_variances(rng, d)
         lifted = lift_component(
-            random_stiefel(n, d, seed=2), rng.standard_normal(n), np.zeros(d), cov, sigma
+            random_stiefel(n, d, seed=2), rng.standard_normal(n), variances, sigma
         )
         assert np.linalg.slogdet(lifted.cov)[1] == pytest.approx(
-            np.linalg.slogdet(cov)[1] + (n - d) * np.log(sigma**2), rel=1e-8
+            np.log(variances).sum() + (n - d) * np.log(sigma**2), rel=1e-8
         )
 
 
@@ -164,7 +163,7 @@ class TestObjective:
         coeffs = rng.standard_normal((30, d))
         X = coeffs @ basis.T + offset
         reduced = GmmParams(
-            alpha=np.ones(1), means=model.means[:1], covs=model.covs[:1]
+            alpha=np.ones(1), means=np.zeros((1, d)), covs=np.diag(model.variances[0])[None]
         )
         assert pcagmm_objective(model, X) == pytest.approx(
             gmm_nll(reduced, coeffs), rel=1e-10
@@ -198,9 +197,9 @@ class TestEstep:
     @pytest.mark.parametrize("score", [pcagmm_estep, pcagmm_objective])
     def test_covariance_that_does_not_factor_raises(self, score):
         # a trace-scaled shift would make diag(1, -1e-7) factor; scoring
-        # factors the covariance as stored and scores no shifted matrix
+        # takes the variances as stored and scores no shifted matrix
         model = random_model(np.random.default_rng(4), 1, 5, 2)
-        model.covs[0] = np.diag([1.0, -1e-7])
+        model.variances[0] = [1.0, -1e-7]
         with pytest.raises(NotPositiveDefinite):
             score(model, np.random.default_rng(5).standard_normal((12, 5)))
 
@@ -227,8 +226,7 @@ class TestEstep:
             alpha=np.full(2, 0.5),
             bases=bases,
             offsets=np.zeros((2, n)),
-            means=np.zeros((2, 1)),
-            covs=np.full((2, 1, 1), 4.0),
+            variances=np.full((2, 1), 4.0),
             sigma=0.05,
         )
         t = rng.uniform(1.0, 2.0, 20)
@@ -260,7 +258,7 @@ class TestEstep:
                 p = U.T @ y
                 out[i, k] = (
                     np.log(model.alpha[k])
-                    + gauss_logpdf(p, model.means[k], model.covs[k])
+                    + gauss_logpdf(p, np.zeros(p.size), np.diag(model.variances[k]))
                     - (y @ y - p @ p) / (2.0 * model.sigma**2)
                 )
         return out
@@ -373,26 +371,41 @@ class TestStats:
 
 
 class TestRecover:
-    def test_offset_at_weighted_mean_zeroes_the_mean(self):
-        rng = np.random.default_rng(12)
-        X = rng.standard_normal((25, 5))
-        stats = accumulate_stats(X, np.ones((25, 1)), 0)
-        basis = random_stiefel(5, 2, seed=3)
-        offset = stats.mean
-        mean, cov = recover_component(stats, basis, offset)
-        np.testing.assert_allclose(mean, 0.0, atol=1e-12)
-        scatter = sum(np.outer(x - offset, x - offset) for x in X)
-        np.testing.assert_allclose(
-            cov, basis.T @ scatter @ basis / stats.weight, atol=1e-10
-        )
+    @staticmethod
+    def assert_eigenbasis(stats, basis, U, v, scatter, tol):
+        """U spans basis, U^T S U / w is diag(v) for the reference scatter S
+        about the weighted mean, and v descends."""
+        P = basis @ basis.T
+        assert np.linalg.norm(U @ U.T - P) <= 1e-12
+        A = U.T @ scatter @ U / stats.weight
+        off = A - np.diag(np.diag(A))
+        assert np.linalg.norm(off) <= tol * np.linalg.norm(A)
+        np.testing.assert_allclose(np.diag(A), v, rtol=tol)
+        assert np.all(np.diff(v) <= 0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_frame_diagonalizes_the_projected_scatter(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        n, d = 9, 4
+        X = rng.standard_normal((60, n)) * rng.uniform(0.2, 3.0, n) + rng.standard_normal(n)
+        w = rng.uniform(0.05, 1.0, 60)
+        stats = accumulate_stats(X, w[:, None], 0)
+        basis = random_stiefel(n, d, seed=seed)
+        U, v = recover_component(stats, basis)
+        assert stiefel_defect(U) <= 1e-12
+        self.assert_eigenbasis(stats, basis, U, v, stats.scatter, 1e-12)
+        # the variances are the eigenvalues of the projected covariance
+        A = basis.T @ stats.scatter @ basis / stats.weight
+        np.testing.assert_allclose(v, np.linalg.eigvalsh(A)[::-1], rtol=1e-12)
 
     def test_full_dimension_identity_frame(self):
         rng = np.random.default_rng(13)
         X = rng.standard_normal((20, 3))
         stats = accumulate_stats(X, np.ones((20, 1)), 0)
-        mean, cov = recover_component(stats, np.eye(3), np.zeros(3))
-        np.testing.assert_allclose(mean, X.mean(axis=0), atol=1e-12)
-        np.testing.assert_allclose(cov, X.T @ X / 20, atol=1e-12)
+        U, v = recover_component(stats, np.eye(3))
+        D = X - X.mean(axis=0)
+        np.testing.assert_allclose((U * v) @ U.T, D.T @ D / 20, atol=1e-12)
+        self.assert_eigenbasis(stats, np.eye(3), U, v, D.T @ D, 1e-12)
 
     def test_scatter_matches_naive_recentering(self):
         rng = np.random.default_rng(14)
@@ -400,17 +413,18 @@ class TestRecover:
         w = rng.uniform(0.1, 1.0, 20)
         stats = accumulate_stats(X, w[:, None], 0)
         basis = random_stiefel(4, 2, seed=4)
-        offset = rng.standard_normal(4)
-        _, cov = recover_component(stats, basis, offset)
-        scatter = sum(wi * np.outer(x - offset, x - offset) for wi, x in zip(w, X))
+        U, v = recover_component(stats, basis)
+        mean = w @ X / w.sum()
+        scatter = sum(wi * np.outer(x - mean, x - mean) for wi, x in zip(w, X))
+        P = basis @ basis.T
         np.testing.assert_allclose(
-            cov, basis.T @ scatter @ basis / stats.weight, atol=1e-10
+            (U * v) @ U.T, P @ scatter @ P / stats.weight, atol=1e-10
         )
 
     def test_empty_component(self):
         stats = SufficientStats(weight=0.0, mean=np.zeros(3), scatter=np.zeros((3, 3)))
         with pytest.raises(EmptyComponent):
-            recover_component(stats, np.eye(3)[:, :1], np.zeros(3))
+            recover_component(stats, np.eye(3)[:, :1])
 
 
 class TestInit:
@@ -482,7 +496,7 @@ class TestInit:
         np.testing.assert_allclose(model.offsets[k], X.mean(axis=0), rtol=1e-12)
         Y = X - X.mean(axis=0)
         evals, evecs = np.linalg.eigh(Y.T @ Y / 60)
-        np.testing.assert_allclose(np.diag(model.covs[k]), evals[:-3:-1], rtol=1e-10)
+        np.testing.assert_allclose(model.variances[k], evals[:-3:-1], rtol=1e-10)
         U = model.bases[k]
         assert np.linalg.norm(U @ U.T - evecs[:, -2:] @ evecs[:, -2:].T) <= 1e-8
 
@@ -528,7 +542,7 @@ class TestInit:
         evals, evecs = evals[::-1], evecs[:, ::-1]
         floor = 1e-6 * evals[0] + 1e-12
         np.testing.assert_allclose(
-            np.diag(model.covs[0]),
+            model.variances[0],
             np.maximum(evals[:d], floor),
             rtol=1e-10,
             atol=1e-12 * evals[0],
@@ -626,37 +640,37 @@ class TestFit:
         X = rng.standard_normal((200, 4)) * np.array([3.0, 2.0, 0.3, 0.2])
         model, _ = fit_pcagmm(X, 2, 2, sigma=0.2, em_config=EmConfig(max_iters=8), seed=3)
         for k in range(model.n_components):
-            lifted = lift_component(
-                model.bases[k],
-                model.offsets[k],
-                model.means[k],
-                model.covs[k],
-                model.sigma,
-            )
+            params = (model.bases[k], model.offsets[k], model.variances[k], model.sigma)
+            lifted = lift_component(*params)
             for _ in range(20):
                 x = rng.standard_normal(4)
-                lhs = log_joint_factor(
-                    model.bases[k],
-                    model.offsets[k],
-                    model.means[k],
-                    model.covs[k],
-                    model.sigma,
-                    x,
-                )
+                lhs = log_joint_factor(*params, x)
                 rhs = (4 - 2) / 2 * np.log(2 * np.pi * model.sigma**2) + gauss_logpdf(
                     x, lifted.mean, lifted.cov
                 )
                 assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-8)
 
-    def test_reduced_means_are_exactly_zero(self):
-        # the solver returns the offset at the weighted mean, so every
-        # recovered reduced mean g = U^T (mean - b) is exactly 0
+    def test_frames_are_eigenbases_of_the_last_m_step(self):
+        # the fit after 5 updates made its last M-step from the
+        # responsibilities of the fit after 4: every offset is the weighted
+        # mean and every frame diagonalizes the projected scatter
         rng = np.random.default_rng(20)
-        X = rng.standard_normal((100, 4)) + 3.0
-        model, _ = fit_pcagmm(
-            X, 2, 1, sigma=0.3, em_config=EmConfig(max_iters=5), seed=4
+        X = rng.standard_normal((100, 4)) * [3.0, 2.0, 1.0, 0.5] + 3.0
+        fit = lambda iters: fit_pcagmm(
+            X, 2, 2, sigma=0.3, em_config=EmConfig(max_iters=iters, tol=0.0), seed=4
         )
-        assert np.all(model.means == 0.0)
+        beta = pcagmm_estep(fit(4)[0], X)
+        model, trace = fit(5)
+        assert trace.n_reseeds == 0
+        for k in range(2):
+            stats = accumulate_stats(X, beta, k)
+            np.testing.assert_array_equal(model.offsets[k], stats.mean)
+            U, v = model.bases[k], model.variances[k]
+            A = U.T @ stats.scatter @ U / stats.weight
+            off = A - np.diag(np.diag(A))
+            assert np.linalg.norm(off) <= 1e-12 * np.linalg.norm(A)
+            np.testing.assert_allclose(np.diag(A), v, rtol=1e-8)
+            assert np.all(np.diff(v) <= 0.0)
 
 
 # Both fitters run the same EM loop; each supplies only its initialization,

@@ -36,28 +36,37 @@ def random_gmm(rng, K, n):
 
 def random_reduced(rng, K, n, d, sigma=0.3):
     alpha = rng.uniform(0.2, 1.0, K)
-    covs = np.empty((K, d, d))
-    for k in range(K):
-        A = rng.standard_normal((d, d))
-        covs[k] = A @ A.T + 0.5 * np.eye(d)
     return PcaGmmModel(
         alpha=alpha / alpha.sum(),
         bases=np.stack(
             [random_stiefel(n, d, seed=int(rng.integers(1 << 30))) for _ in range(K)]
         ),
         offsets=rng.standard_normal((K, n)),
-        means=rng.standard_normal((K, d)),
-        covs=covs,
+        variances=rng.uniform(0.5, 4.0, (K, d)),
         sigma=sigma,
+    )
+
+
+def full_dim_view(params, sigma=0.5):
+    """Plain mixture parameters as a subspace model with d = n: each frame is
+    the eigenbasis of a covariance, the variances its eigenvalues."""
+    variances, bases = np.linalg.eigh(params.covs)
+    return PcaGmmModel(
+        alpha=params.alpha, bases=bases, offsets=params.means, variances=variances,
+        sigma=sigma,
+    )
+
+
+def lift(model, k):
+    return lift_component(
+        model.bases[k], model.offsets[k], model.variances[k], model.sigma
     )
 
 
 def lifted_blocks(model, geom, k):
     """The conditioning blocks of component k from its n x n lift, sliced and
     solved the way the dense path does."""
-    lifted = lift_component(
-        model.bases[k], model.offsets[k], model.means[k], model.covs[k], model.sigma
-    )
+    lifted = lift(model, k)
     nh, nl = geom.n_high, geom.n_low
     low = lifted.cov[nh:, nh:]
     L = np.linalg.cholesky(low)
@@ -73,12 +82,11 @@ def lifted_blocks(model, geom, k):
 
 
 def with_spectrum(model, rng, low, high):
-    """The model with every Sigma_k replaced by one whose eigenvalues are
-    spread over [low, high]."""
-    d = model.covs.shape[1]
+    """The model with the variances of every component spread over
+    [low, high], in a random order."""
+    d = model.reduced_dim
     for k in range(model.n_components):
-        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        model.covs[k] = (Q * np.geomspace(low, high, d)) @ Q.T
+        model.variances[k] = rng.permutation(np.geomspace(low, high, d))
     return model
 
 
@@ -99,7 +107,7 @@ class TestReducedConditionals:
         geom, d = self.CASES[case]
         rng = np.random.default_rng(40)
         model = random_reduced(rng, 3, geom.n_joint, d, sigma=0.3)
-        if indefinite:  # Sigma - sigma^2 I has eigenvalues of both signs
+        if indefinite:  # diag(v) - sigma^2 I has entries of both signs
             with_spectrum(model, rng, 0.1 * model.sigma**2, 4.0)
         blocks = precompute_conditionals(model, geom)
         assert blocks.valid.all()
@@ -115,10 +123,7 @@ class TestReducedConditionals:
         model = with_spectrum(
             random_reduced(rng, 3, GEOM3.n_joint, 12), rng, 0.02, 4.0
         )
-        lifted = [
-            lift_component(*args, model.sigma)
-            for args in zip(model.bases, model.offsets, model.means, model.covs)
-        ]
+        lifted = [lift(model, k) for k in range(model.n_components)]
         dense = GmmParams(
             alpha=model.alpha,
             means=np.stack([g.mean for g in lifted]),
@@ -155,14 +160,7 @@ class TestPrecompute:
         rng = np.random.default_rng(0)
         n = GEOM.n_joint
         params = random_gmm(rng, 1, n)
-        model = PcaGmmModel(
-            alpha=params.alpha,
-            bases=np.eye(n)[None],
-            offsets=np.zeros((1, n)),
-            means=params.means,
-            covs=params.covs,
-            sigma=0.5,
-        )
+        model = full_dim_view(params)
         a = precompute_conditionals(params, GEOM)
         b = precompute_conditionals(model, GEOM)
         np.testing.assert_allclose(a.gain, b.gain, atol=1e-10)
@@ -175,13 +173,7 @@ class TestPrecompute:
         blocks = precompute_conditionals(model, GEOM)
         nh = GEOM.n_high
         for k in range(2):
-            lifted = lift_component(
-                model.bases[k],
-                model.offsets[k],
-                model.means[k],
-                model.covs[k],
-                model.sigma,
-            )
+            lifted = lift(model, k)
             cross = lifted.cov[:nh, nh:]
             low = lifted.cov[nh:, nh:]
             assert np.linalg.norm(blocks.gain[k] @ low - cross) <= 1e-9 * max(
@@ -338,14 +330,7 @@ class TestReconstruct:
         rng = np.random.default_rng(10)
         n = GEOM.n_joint
         params = random_gmm(rng, 2, n)
-        model = PcaGmmModel(
-            alpha=params.alpha,
-            bases=np.repeat(np.eye(n)[None], 2, axis=0),
-            offsets=np.zeros((2, n)),
-            means=params.means,
-            covs=params.covs,
-            sigma=0.5,
-        )
+        model = full_dim_view(params)
         low = rng.random((6, 8))
         np.testing.assert_allclose(
             reconstruct(low, params, GEOM), reconstruct(low, model, GEOM), atol=1e-8
