@@ -8,7 +8,6 @@ Gaussian scoring kernel, responsibility computation and the EM loop.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     DegenerateDensity,
@@ -141,12 +140,17 @@ def _log_joint(model, X):
 
 
 def _normalize_rows(log_joint):
-    norm = logsumexp(log_joint, axis=1)
-    if not np.all(np.isfinite(norm)):
-        raise DegenerateDensity(
-            "some sample has zero density under every component"
-        )
-    return np.exp(log_joint - norm[:, None]), norm
+    """Turn the N x K log scores into responsibilities in place; return them
+    and each row's log normalizer, its max plus the log of the row sum of
+    exp(L - max). Raises DegenerateDensity where a row max is not finite."""
+    top = log_joint.max(axis=1)
+    if not np.all(np.isfinite(top)):
+        raise DegenerateDensity("some sample has zero density under every component")
+    log_joint -= top[:, None]
+    beta = np.exp(log_joint, out=log_joint)
+    total = beta.sum(axis=1)
+    beta /= total[:, None]
+    return beta, top + np.log(total)
 
 
 def gmm_nll(params, X):
@@ -257,14 +261,15 @@ def _run_em(X, model, log_joint, mstep, reset, config):
     log_joint(model, X) gives the N x K log scores, mstep(model, X, beta) the
     updated model, and reset(model, k, x) restarts component k at sample x.
     One density pass per iteration serves both the responsibilities and the
-    objective entry. The trace holds the objective of the initial model and
-    of the model after every update. EM stops when the objective decreases by
-    less than the tolerance, which includes any rise, or after
-    config.max_iters updates; the trace's stop field says which. The trace is
-    nonincreasing up to floating-point reduction order except across reseeds
-    and, on a rise, at its last entry: the risen objective of the returned
-    model. Before an update, every starved component is reset onto one of the
-    worst-explained samples with weight 1/K before renormalization.
+    objective entry; the previous responsibilities are dropped before it, so
+    one N x K matrix is alive at a time. The trace holds the objective of the
+    initial model and of the model after every update. EM stops when the
+    objective decreases by less than the tolerance, which includes any rise,
+    or after config.max_iters updates; the trace's stop field says which. The
+    trace is nonincreasing up to floating-point reduction order except across
+    reseeds and, on a rise, at its last entry: the risen objective of the
+    returned model. Before an update, every starved component is reset onto
+    one of the worst-explained samples with weight 1/K before renormalization.
     """
     N = X.shape[0]
     objective = []
@@ -284,6 +289,7 @@ def _run_em(X, model, log_joint, mstep, reset, config):
         starved = np.flatnonzero(beta.sum(axis=0) < _EMPTY_REL * N)
         if starved.size:
             worst_order = np.argsort(beta.max(axis=1))
+            del beta
             for j, k in enumerate(starved):
                 reset(model, k, X[worst_order[j % N]])
             model.alpha[starved] = 1.0 / model.n_components
@@ -291,6 +297,7 @@ def _run_em(X, model, log_joint, mstep, reset, config):
             n_reseeds += len(starved)
             beta, _ = _normalize_rows(log_joint(model, X))
         model = mstep(model, X, beta)
+        del beta
     return model, EmTrace(
         objective=np.asarray(objective), stop=stop, n_reseeds=n_reseeds
     )

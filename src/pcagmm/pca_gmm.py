@@ -113,56 +113,59 @@ def lift_component(basis, offset, variances, sigma):
     )
 
 
-_ROW_BLOCK = 256  # rows per block of the centred row norms
+_BLOCK_BYTES = 1 << 20  # bytes of one row block's largest scratch array
 
 
 def _sq_dist(X, offsets):
-    """N x K matrix of ||x - b_k||^2, expanded about the data mean c as
+    """N x K matrix of ||x - b_k||^2, expanded about the row mean c as
     ||x - c||^2 - 2 (x - c).(b_k - c) + ||b_k - c||^2, so that an offset common
     to the data and the b_k cancels before any product. The cross term is one
-    N x K product, X (B - c)^T less c.(b_k - c); the row norms ||x - c||^2
-    are taken _ROW_BLOCK rows at a time, so X - c never exists whole."""
-    N = X.shape[0]
-    c = X.sum(axis=0) / max(N, 1)
+    N x K product, X (B - c)^T less c.(b_k - c). _log_joint calls it on one
+    row block at a time, so X - c is block-sized."""
+    c = X.mean(axis=0)
     D = offsets - c
     d2 = X @ D.T
     d2 -= D @ c
     d2 *= -2.0
     d2 += np.einsum("ij,ij->i", D, D)
-    for start in range(0, N, _ROW_BLOCK):
-        Y = X[start : start + _ROW_BLOCK] - c
-        d2[start : start + _ROW_BLOCK] += np.einsum("ij,ij->i", Y, Y)[:, None]
+    Y = X - c
+    d2 += np.einsum("ij,ij->i", Y, Y)[:, None]
     return d2
 
 
 def _log_joint(model, X):
     """N x K matrix of per-component log scores (-inf where alpha_k is 0).
 
-    Scores the reduced coordinates P = U_k^T (x - b_k), formed as
-    X U_k - b_k^T U_k (N x d) and divided in place by sqrt(v_k), as standard
-    normals, and subtracts the off-subspace residual energy
-    ||x - b_k||^2 - ||P||^2, clamped at 0, over 2 sigma^2. The squared
-    distances of every component come from _sq_dist, so no component makes
-    an N x n array, and nothing is factored.
+    Each row block of X, sized so that no scratch array exceeds _BLOCK_BYTES,
+    makes one product with the n x Kd concatenation of the frames. Less the
+    stacked b_k^T U_k and squared in place, it holds every component's y^2,
+    y = U_k^T (x - b_k): the reduced density takes sum y^2 / v_k, and the
+    residual ||x - b_k||^2 - sum y^2, clamped at 0, over 2 sigma^2.
+    Nothing is factored, and no N x n or N x Kd array is made.
     """
     X = np.asarray(X, dtype=float)
     v = model.variances
     if not np.all(v > 0.0):
         raise NotPositiveDefinite("a reduced variance is not positive")
+    K, n, d = model.bases.shape
     with np.errstate(divide="ignore"):
         log_norm = np.log(model.alpha) - 0.5 * np.log(2 * np.pi * v).sum(axis=1)
-    scores = _sq_dist(X, model.offsets)
-    for k in range(model.n_components):
-        U = model.bases[k]
-        P = X @ U
-        P -= model.offsets[k] @ U
-        energy = scores[:, k]
-        energy -= np.einsum("ij,ij->i", P, P)
+    frames = model.bases.transpose(1, 0, 2).reshape(n, K * d)
+    shift = np.einsum("kn,knd->kd", model.offsets, model.bases).reshape(K * d)
+    scores = np.empty((X.shape[0], K))
+    rows = max(1, _BLOCK_BYTES // (8 * max(K * d, n)))
+    for start in range(0, X.shape[0], rows):
+        x = X[start : start + rows]
+        Y = x @ frames
+        Y -= shift
+        Y *= Y
+        Y = Y.reshape(-1, K, d)
+        energy = _sq_dist(x, model.offsets)
+        energy -= Y.sum(axis=2)
         np.maximum(energy, 0.0, out=energy)
         energy *= 0.5 / model.sigma**2
-        P /= np.sqrt(v[k])
-        energy += 0.5 * np.einsum("ij,ij->i", P, P)
-        np.subtract(log_norm[k], energy, out=energy)
+        energy += 0.5 * np.einsum("bkd,kd->bk", Y, 1.0 / v)
+        np.subtract(log_norm, energy, out=scores[start : start + rows])
     return scores
 
 
@@ -282,6 +285,7 @@ def fit_pcagmm(X, K, d, sigma, em_config=None, solver_config=None, seed=0):
             U, b, _ = ipalm_minimize(problem, model.bases[k], config=solver_config)
             model.bases[k], model.variances[k] = recover_component(stats, U)
             model.offsets[k] = b
+            del stats, problem  # before the next component's two scatters
         return model
 
     def reset(model, k, x):

@@ -1,8 +1,8 @@
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from pcagmm.errors import (
     DegenerateDensity,
@@ -13,6 +13,7 @@ from pcagmm.errors import (
 from pcagmm.gmm import (
     EmConfig,
     GmmParams,
+    _normalize_rows,
     _run_em,
     fit_gmm,
     gauss_logpdf,
@@ -167,6 +168,53 @@ class TestEstep:
             gauss_logpdf(np.zeros(2), np.zeros(2), params.covs[1])
 
 
+class TestNormalizeRows:
+    """The in-place normalization against scipy's logsumexp, with
+    exp(L - norm) as the reference responsibilities. The scores lie in
+    [1, 6], so every normalizer is at least 1 and below 8: the reference
+    rounds norm to a double before exp(L - norm), and at |norm| = 40 that
+    half-ulp, 3.6e-15, alone exceeds the 1e-15 bound."""
+
+    @staticmethod
+    def log_scores(case):
+        L = np.random.default_rng(40).uniform(1.0, 6.0, (25, 6))
+        if case == "zero-weight column":
+            L[:, 2] = -np.inf
+        elif case == "max leads by 1e3":
+            L[::2, 0] = L[::2].max(axis=1) + 1e3
+        elif case == "one component":
+            L = L[:, :1]
+        elif case == "no rows":
+            L = L[:0]
+        return L
+
+    @pytest.mark.parametrize(
+        "case",
+        ["dense", "zero-weight column", "max leads by 1e3", "one component", "no rows"],
+    )
+    def test_matches_logsumexp(self, case):
+        L = self.log_scores(case)
+        ref_norm = logsumexp(L, axis=1)
+        ref_beta = np.exp(L - ref_norm[:, None])
+        beta, norm = _normalize_rows(L.copy())
+        assert beta.shape == L.shape and norm.shape == (L.shape[0],)
+        np.testing.assert_allclose(norm, ref_norm, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(beta, ref_beta, rtol=0, atol=1e-15)
+
+    def test_normalizes_in_place(self):
+        L = self.log_scores("dense")
+        beta, _ = _normalize_rows(L)
+        assert beta is L
+
+    @pytest.mark.parametrize("bad", [-np.inf, np.nan])
+    def test_row_without_finite_max_raises(self, bad):
+        L = self.log_scores("dense")
+        L[3] = -np.inf
+        L[3, 1] = bad
+        with pytest.raises(DegenerateDensity):
+            _normalize_rows(L)
+
+
 class TestMstep:
     def test_unweighted_moments(self):
         rng = np.random.default_rng(5)
@@ -257,19 +305,14 @@ class TestMstep:
         with pytest.raises(InvalidShape):
             gmm_mstep(X, np.full(beta_shape, 0.5))
 
-    def test_peak_memory_below_one_copy_of_the_data(self):
+    def test_peak_memory_below_one_copy_of_the_data(self, traced_peak):
         # a hard partition: each component gathers one eighth of the rows
         rng = np.random.default_rng(34)
         N, n, K = 20_000, 80, 8
         X = rng.standard_normal((N, n))
         beta = np.zeros((N, K))
         beta[np.arange(N), np.arange(N) % K] = 1.0
-        tracemalloc.start()
-        try:
-            gmm_mstep(X, beta)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(gmm_mstep, X, beta)
         assert peak < X.nbytes
 
 

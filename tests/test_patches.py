@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -121,17 +119,14 @@ class TestExtractPairs:
             np.testing.assert_array_equal(row[:64], high[hi].ravel())
             np.testing.assert_array_equal(row[64:], low[lo].ravel())
 
-    def test_holds_no_second_copy_of_the_pairs(self):
+    def test_holds_no_second_copy_of_the_pairs(self, traced_peak):
         rng = np.random.default_rng(8)
         geom = PatchGeometry(tau=4, q=2, dims=3)
         low = rng.random((40, 40, 40))
         high = rng.random((80, 80, 80))
-        tracemalloc.start()
-        try:
-            ps = extract_pairs(high, low, geom, max_patches=4000, seed=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        ps, peak = traced_peak(
+            lambda: extract_pairs(high, low, geom, max_patches=4000, seed=1)
+        )
         assert peak <= 1.5 * ps.data.nbytes
 
 
@@ -229,7 +224,7 @@ class TestAggregate:
         )
 
     @pytest.mark.parametrize("out_dims", [(512, 512), (64, 64, 64)], ids=["2d", "3d"])
-    def test_finish_holds_one_extra_output_array(self, out_dims):
+    def test_finish_holds_one_extra_output_array(self, out_dims, traced_peak):
         # patches tile the output exactly, so every sample is covered; the
         # denominator is the one output-sized array finish may add
         edge = 8
@@ -240,12 +235,7 @@ class TestAggregate:
             np.random.default_rng(17).random((len(origins), edge ** len(out_dims))),
             origins,
         )
-        tracemalloc.start()
-        try:
-            out = acc.finish()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(acc.finish)
         assert peak <= 1.5 * out.nbytes
 
     def test_weights_match_stated_formula(self):

@@ -274,7 +274,21 @@ class TestEstep:
         got = pca_mod._log_joint(model, X)
         np.testing.assert_allclose(got, self.direct_log_joint(model, X), rtol=0, atol=tol)
 
-    def test_component_without_weight_scores_minus_inf(self):
+    @pytest.mark.parametrize("N", [15, 5])
+    @pytest.mark.parametrize("shift, tol", [(0.0, 1e-10), (1e3, 1e-7)])
+    def test_log_joint_across_block_edges(self, N, shift, tol, monkeypatch):
+        # blocks of 7 rows: two whole blocks and a 1-row block, or one partial
+        K, n, d = 4, 40, 3
+        monkeypatch.setattr(pca_mod, "_BLOCK_BYTES", 7 * 8 * max(K * d, n))
+        rng = np.random.default_rng(33)
+        model = random_model(rng, K, n, d, sigma=0.05)
+        X = rng.standard_normal((N, n)) + shift
+        model.offsets += shift
+        got = pca_mod._log_joint(model, X)
+        np.testing.assert_allclose(got, self.direct_log_joint(model, X), rtol=0, atol=tol)
+
+    def test_component_without_weight_scores_minus_inf(self, monkeypatch):
+        monkeypatch.setattr(pca_mod, "_BLOCK_BYTES", 7 * 8 * 6)  # 7-row blocks
         rng = np.random.default_rng(31)
         model = random_model(rng, 3, 6, 2)
         model.alpha = np.array([0.5, 0.0, 0.5])
@@ -671,6 +685,45 @@ class TestFit:
             assert np.linalg.norm(off) <= 1e-12 * np.linalg.norm(A)
             np.testing.assert_allclose(np.diag(A), v, rtol=1e-8)
             assert np.all(np.diff(v) <= 0.0)
+
+
+class TestWorkingSet:
+    """Training memory at N = 4,000 and 16,000 rows (n=80, K=50, d=20): the
+    E-step's scratch does not grow with N, and training grows by at most the
+    rows of X and one N x K matrix."""
+
+    K, n, d = 50, 80, 20
+
+    def inputs(self):
+        rng = np.random.default_rng(35)
+        model = random_model(rng, self.K, self.n, self.d)
+        return model, [rng.standard_normal((N, self.n)) for N in (4_000, 16_000)]
+
+    def test_estep_scratch_is_bounded(self, traced_peak):
+        # the stacked frames (0.64 MB), one block's B x Kd products and its
+        # B x n and B x K scratch; the row normalizers are 0.13 MB at 16,000
+        ceiling = 4 << 20
+        model, sizes = self.inputs()
+        for X in sizes:
+            beta, peak = traced_peak(pcagmm_estep, model, X)
+            assert peak - beta.nbytes < ceiling, (X.shape, peak)
+
+    def test_training_grows_by_the_data_and_one_responsibility_matrix(
+        self, traced_peak
+    ):
+        _, sizes = self.inputs()
+        peaks = [
+            traced_peak(
+                lambda: fit_pcagmm(
+                    X, self.K, self.d, 0.3, EmConfig(max_iters=1),
+                    SolverConfig(max_iters=2),
+                )
+            )[1]
+            for X in sizes
+        ]
+        extra_rows = sizes[1].shape[0] - sizes[0].shape[0]
+        allowed = 1.1 * extra_rows * (self.n + self.K) * 8
+        assert peaks[1] - peaks[0] <= allowed, peaks
 
 
 # Both fitters run the same EM loop; each supplies only its initialization,

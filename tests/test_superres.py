@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -135,16 +133,11 @@ class TestReducedConditionals:
             rtol=0, atol=1e-10,
         )
 
-    def test_memory_stays_below_one_lifted_covariance(self):
+    def test_memory_stays_below_one_lifted_covariance(self, traced_peak):
         geom = PatchGeometry(tau=4, q=2, dims=3)  # n = 576
         n = geom.n_joint
         model = random_reduced(np.random.default_rng(42), 2, n, 20)
-        tracemalloc.start()
-        try:
-            precompute_conditionals(model, geom)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(precompute_conditionals, model, geom)
         assert peak < n * n * 8, peak
 
 
@@ -408,7 +401,7 @@ class TestTiledReconstruct:
                 reconstruct(low, model, geom, gamma=0.3), expected, rtol=0, atol=1e-12
             )
 
-    def test_memory_is_bounded_by_the_tile(self):
+    def test_memory_is_bounded_by_the_tile(self, traced_peak):
         geom = PatchGeometry(tau=4, q=2, dims=2)
         rng = np.random.default_rng(31)
         model = random_gmm(rng, 2, geom.n_joint)
@@ -417,12 +410,7 @@ class TestTiledReconstruct:
         assert ceiling < (256 - geom.tau + 1) ** 2 * geom.n_high * 8
         for edge in (128, 256):
             low = rng.random((edge, edge))
-            tracemalloc.start()
-            try:
-                out = reconstruct(low, model, geom)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            out, peak = traced_peak(reconstruct, low, model, geom)
             # the input, plus at most five output-sized arrays: the weighted
             # sums, the origin counts and the weight sums as they are spread
             assert peak - low.nbytes - 5 * out.nbytes < ceiling, (edge, peak)
