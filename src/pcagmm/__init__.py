@@ -52,12 +52,6 @@ from .pca_gmm import (
     recover_component,
 )
 from .stats import SufficientStats, accumulate_stats
-from .superres import (
-    ConditionalBlocks,
-    mmse_patch,
-    precompute_conditionals,
-    reconstruct,
-    select_component,
-)
+from .superres import ConditionalBlocks, precompute_conditionals, reconstruct
 
 __version__ = "0.1.0"

@@ -80,14 +80,21 @@ def _parse_pgm(raw):
     return data.astype(float) / maxval
 
 
+def _quantized(image, maxval, dtype):
+    """image clipped to [0, 1], scaled and rounded in one float scratch array."""
+    scaled = np.clip(image, 0.0, 1.0)
+    scaled *= maxval
+    return np.rint(scaled, out=scaled).astype(dtype, order="C")
+
+
 def _write_pgm(path, image, maxval):
     if image.ndim != 2:
         raise InvalidShape("PGM stores 2D images only")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-    quantized = np.rint(np.clip(image, 0.0, 1.0) * maxval).astype(dtype)
+    quantized = _quantized(image, maxval, dtype)
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n%d\n" % (image.shape[1], image.shape[0], maxval))
-        fh.write(quantized.tobytes())
+        fh.write(memoryview(quantized))
 
 
 def _parse_volume(raw):
@@ -120,14 +127,14 @@ def _write_volume(path, volume, dtype):
     if dtype not in _VOL_CODES:
         raise UnsupportedFormat(f"unsupported VOL1 dtype {dtype}")
     if dtype.kind == "u":
-        data = np.rint(np.clip(volume, 0.0, 1.0) * np.iinfo(dtype).max).astype(dtype)
+        data = _quantized(volume, np.iinfo(dtype).max, dtype)
     else:
-        data = volume.astype(dtype)
+        data = np.ascontiguousarray(volume, dtype)
     nz, ny, nx = volume.shape
     with open(path, "wb") as fh:
         fh.write(VOLUME_MAGIC)
         fh.write(struct.pack("<4I", nx, ny, nz, _VOL_CODES[dtype]))
-        fh.write(data.tobytes())
+        fh.write(memoryview(data))
 
 
 def read_image(path):

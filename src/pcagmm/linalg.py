@@ -17,6 +17,13 @@ from .errors import InvalidShape, NotPositiveDefinite, RankDeficient
 SPD_FLOOR_SCALE = 1e-6
 _FLOOR_ABS = 1e-12
 
+_BLOCK_BYTES = 1 << 20  # bytes of one row block's largest scratch array
+
+
+def block_rows(row_bytes):
+    """Rows per block when its largest scratch array takes row_bytes a row."""
+    return max(1, _BLOCK_BYTES // row_bytes)
+
 
 def try_cholesky(M):
     """Lower Cholesky factor of ``M``, or None if the factorization fails."""

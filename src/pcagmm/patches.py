@@ -13,6 +13,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import correlate1d
 
 from .errors import InvalidParameter, InvalidShape, UncoveredPixel
+from .linalg import block_rows
 
 _PAIR_ROWS = 256  # patch pairs gathered per block in extract_pairs
 
@@ -126,8 +127,8 @@ def extract_low(image, tau):
 
 def low_patch_tiles(image, tau, size):
     """Enumerate the stride-one low-resolution patches of an image in raster
-    order, `size` patches at a time, as low-only patch sets. Only one tile's
-    origins and patches exist at a time."""
+    order, `size` patches at a time, as low-only patch sets; it keeps no
+    reference to a tile it has yielded."""
     image = np.asarray(image, dtype=float)
     if image.ndim not in (2, 3):
         raise InvalidShape(f"expected a 2D or 3D image, got {image.ndim}D")
@@ -136,8 +137,7 @@ def low_patch_tiles(image, tau, size):
     total = int(np.prod(grid))
     for start in range(0, total, size):
         index = np.unravel_index(np.arange(start, min(start + size, total)), grid)
-        data = windows[index].reshape(index[0].size, -1)
-        yield PatchSet(data=data, origins=np.stack(index, axis=1))
+        yield PatchSet(windows[index].reshape(index[0].size, -1), np.stack(index, 1))
 
 
 def patch_weights(edge, dims, gamma):
@@ -176,10 +176,10 @@ class OverlapAdd:
     accumulates a batch's Gaussian-weighted patch samples and counts its
     origins, touching only the bounding box of the batch's footprints.
     `finish` spreads the origin counts into per-pixel weight sums (the weights
-    are separable) in one more float64 output-sized array and divides into
-    it. Every covered output sample becomes the weight-normalized average of
-    all patch samples landing on it; the result does not depend on patch
-    order or batching.
+    are separable) one slab of leading-axis rows at a time and divides the
+    sums by them in place. Every covered output sample becomes the
+    weight-normalized average of all patch samples landing on it; the result
+    does not depend on patch order or batching.
     """
 
     def __init__(self, out_dims, edge, gamma):
@@ -192,7 +192,8 @@ class OverlapAdd:
         self.count = np.zeros(self.out_dims, dtype=np.int32)
 
     def add(self, values, origins):
-        """Add N patches, values (N, edge**dims), at origins (N, dims)."""
+        """Add N patches, values (N, edge**dims), at origins (N, dims); their
+        flat indices and weighted values are made one chunk at a time."""
         values = np.asarray(values, dtype=float)
         origins = np.asarray(origins)
         dims, edge = len(self.out_dims), self.edge
@@ -214,28 +215,38 @@ class OverlapAdd:
         # relative to its origin
         start = np.ravel_multi_index(tuple((origins - lo).T), box)
         offset = np.ravel_multi_index(np.indices((edge,) * dims).reshape(dims, -1), box)
-        flat = (start[:, None] + offset).ravel()
         region = tuple(slice(a, b) for a, b in zip(lo, hi))
-        self.num[region] += np.bincount(
-            flat, weights=(values * self.weights).ravel(), minlength=size
-        ).reshape(box)
+        sums, chunk = self.num[region], block_rows(8 * self.weights.size)
+        for first in range(0, N, chunk):
+            sums += np.bincount(
+                (start[first : first + chunk, None] + offset).ravel(),
+                weights=(values[first : first + chunk] * self.weights).ravel(),
+                minlength=size,
+            ).reshape(box)
         self.count[region] += np.bincount(start, minlength=size).reshape(box)
 
     def finish(self):
-        """The weight-normalized output, divided into the one new float64
-        array that holds the spread weights; raises UncoveredPixel where the
-        weights sum to 0, naming whether no patch covers the pixel or the
-        weights of this gamma underflow."""
-        den = _spread(self.count, patch_weights(self.edge, 1, self.gamma))
-        if np.any(den == 0.0):
-            if np.any(_spread(self.count, np.ones(self.edge)) == 0.0):
-                raise UncoveredPixel("some output pixel is covered by no patch")
-            raise UncoveredPixel(
-                f"every output pixel is covered, but the patch weights of gamma="
-                f"{self.gamma:g} underflow to 0 on some of them (largest weight "
-                f"{self.weights.max():.3g}); use a smaller gamma"
-            )
-        return np.divide(self.num, den, out=den)
+        """The weighted sums, divided in place by the weights spread from the
+        origin counts, a slab of rows (and the edge - 1 before) at a time.
+        Raises UncoveredPixel where the weights sum to 0, naming whether no
+        patch covers the pixel or the weights of this gamma underflow."""
+        taps = patch_weights(self.edge, 1, self.gamma)
+        rows = block_rows(8 * int(np.prod(self.out_dims[1:])))
+        for first in range(0, self.out_dims[0], rows):
+            lead = min(first, self.edge - 1)
+            counts = self.count[first - lead : first + rows]
+            den = _spread(counts, taps)[lead:]
+            if not den.all():  # a weight sum is 0
+                if not _spread(counts, np.ones(self.edge))[lead:].all():
+                    raise UncoveredPixel("some output pixel is covered by no patch")
+                raise UncoveredPixel(
+                    f"every output pixel is covered, but the patch weights of gamma="
+                    f"{self.gamma:g} underflow to 0 on some of them (largest weight "
+                    f"{self.weights.max():.3g}); use a smaller gamma"
+                )
+            self.num[first : first + rows] /= den
+            del den  # before the next slab is spread
+        return self.num
 
 
 def aggregate(values, origins, edge, gamma, out_dims):

@@ -22,7 +22,7 @@ from .gmm import (
     check_mixture,
     kmeanspp_indices,
 )
-from .linalg import regularize_spd, stiefel_defect
+from .linalg import block_rows, regularize_spd, stiefel_defect
 
 # palm_minimize is re-exported next to ipalm_minimize, where the benchmark's
 # tracer looks both solvers up.
@@ -113,9 +113,6 @@ def lift_component(basis, offset, variances, sigma):
     )
 
 
-_BLOCK_BYTES = 1 << 20  # bytes of one row block's largest scratch array
-
-
 def _sq_dist(X, offsets):
     """N x K matrix of ||x - b_k||^2, expanded about the row mean c as
     ||x - c||^2 - 2 (x - c).(b_k - c) + ||b_k - c||^2, so that an offset common
@@ -153,7 +150,7 @@ def _log_joint(model, X):
     frames = model.bases.transpose(1, 0, 2).reshape(n, K * d)
     shift = np.einsum("kn,knd->kd", model.offsets, model.bases).reshape(K * d)
     scores = np.empty((X.shape[0], K))
-    rows = max(1, _BLOCK_BYTES // (8 * max(K * d, n)))
+    rows = block_rows(8 * max(K * d, n))
     for start in range(0, X.shape[0], rows):
         x = X[start : start + rows]
         Y = x @ frames

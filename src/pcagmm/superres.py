@@ -8,13 +8,13 @@ import numpy as np
 
 from .errors import InvalidShape, NotPositiveDefinite
 from .gmm import GmmParams, _log_scores, _whitening
-from .linalg import regularized_cholesky, solve_triangular, try_cholesky
+from .linalg import block_rows, regularized_cholesky, solve_triangular, try_cholesky
 
 # aggregate and extract_low are re-exported where the benchmark's tracer looks them up.
 from .patches import OverlapAdd, aggregate, extract_low, low_patch_tiles
 from .pca_gmm import PcaGmmModel
 
-_TILE_BYTES = 4 << 20  # estimates that reconstruct holds at once
+_TILE_BYTES = 2 << 20  # estimates that reconstruct holds at once
 
 
 @dataclass(frozen=True)
@@ -127,8 +127,7 @@ def precompute_conditionals(model, geom):
 
 
 def _selection_scores(blocks, XL):
-    """N x K matrix of log alpha_k plus the low-block log density."""
-    XL = np.atleast_2d(np.asarray(XL, dtype=float))
+    """N x K matrix of log alpha_k plus the low-block log density of XL's rows."""
     return _log_scores(
         XL,
         blocks.log_alpha,
@@ -136,18 +135,12 @@ def _selection_scores(blocks, XL):
     )
 
 
-def select_component(blocks, x_low):
-    """Index of the component with maximal weighted low-block density; ties
-    resolve to the smallest index."""
-    scores = _selection_scores(blocks, x_low)[0]
-    return int(np.argmax(scores))
-
-
-def mmse_patch(blocks, k, x_low):
-    """Conditional mean of the high block given the observed low block."""
-    return blocks.mean_high[k] + blocks.gain[k] @ (
-        np.asarray(x_low, dtype=float) - blocks.mean_low[k]
-    )
+def _select(blocks, XL):
+    """Per row of XL, the component of largest weighted low-block density,
+    ties to the smallest; scored in row blocks of at most _BLOCK_BYTES."""
+    rows = block_rows(8 * max(blocks.log_alpha.size, XL.shape[1]))
+    parts = (XL[first : first + rows] for first in range(0, len(XL), rows))
+    return np.concatenate([_selection_scores(blocks, x).argmax(axis=1) for x in parts])
 
 
 def reconstruct(low, model, geom, gamma=0.1):
@@ -156,11 +149,12 @@ def reconstruct(low, model, geom, gamma=0.1):
     Enumerates low patches at stride one in raster order, one tile at a time.
     For each tile it picks the best component and its conditional mean per
     patch and adds the estimates at q-times the origins, with Gaussian pixel
-    weights, into one overlap-add accumulator; the weighted sums are divided
-    once at the end. A tile holds at most _TILE_BYTES of estimates, so apart
-    from the input and the output-sized accumulators memory does not grow
-    with the image. The result is not clipped; clipping happens at image
-    export.
+    weights, into one overlap-add accumulator, whose weighted sums are divided
+    in place at the end. Besides the input and the accumulator (12 bytes per
+    output sample), it holds one buffer of at most _TILE_BYTES of estimates
+    and scratch in blocks of at most _BLOCK_BYTES, so memory does not grow
+    with the image otherwise. The result is not clipped; clipping happens at
+    image export.
     """
     low = np.asarray(low, dtype=float)
     if low.ndim != geom.dims:
@@ -170,16 +164,21 @@ def reconstruct(low, model, geom, gamma=0.1):
     blocks = precompute_conditionals(model, geom)
     acc = OverlapAdd(tuple(geom.q * m for m in low.shape), geom.high_edge, gamma)
     tile = max(1, _TILE_BYTES // (8 * geom.n_high))
+    buffer = None
     for patches in low_patch_tiles(low, geom.tau, tile):
-        ks = np.argmax(_selection_scores(blocks, patches.data), axis=1)
+        if buffer is None:  # the first tile is the largest
+            buffer = np.empty((patches.count, geom.n_high))
+        ks = _select(blocks, patches.data)
         # group the patches by component so that each group is a row range
         order = np.argsort(ks)
         x = patches.data[order]
         ks, starts = np.unique(ks[order], return_index=True)
-        estimates = np.empty((patches.count, geom.n_high))
+        estimates = buffer[: patches.count]
         for k, rows in zip(ks, map(slice, starts, [*starts[1:], patches.count])):
-            innovation = x[rows] - blocks.mean_low[k]
-            np.matmul(innovation, blocks.gain[k].T, out=estimates[rows])
+            x[rows] -= blocks.mean_low[k]
+            np.matmul(x[rows], blocks.gain[k].T, out=estimates[rows])
             estimates[rows] += blocks.mean_high[k]
         acc.add(estimates, geom.q * patches.origins[order])
+        del patches, x, estimates  # before the next tile is gathered
+    del buffer
     return acc.finish()

@@ -80,6 +80,23 @@ class TestPgm:
         write_image(path, np.array([[-0.5, 1.5]]))
         np.testing.assert_array_equal(read_image(path), [[0.0, 1.0]])
 
+    def test_write_holds_one_float_scratch(self, tmp_path, traced_peak):
+        # the clipped, scaled and rounded copy, and the 8-bit samples
+        image = 1.2 * np.random.default_rng(3).random((512, 512)) - 0.1
+        path = tmp_path / "x.pgm"
+        _, peak = traced_peak(write_image, path, image)
+        assert peak <= 1.2 * image.nbytes, peak
+        expected = np.rint(np.clip(image, 0.0, 1.0) * 255).astype("u1")
+        assert path.read_bytes().endswith(expected.tobytes())
+
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_strided_images_write_in_raster_order(self, tmp_path, maxval):
+        image = np.random.default_rng(4).random((6, 10))
+        path = tmp_path / "x.pgm"
+        for view in (image[:, ::2], np.asfortranarray(image), image.T):
+            write_image(path, view, maxval=maxval)
+            assert np.abs(read_image(path) - view).max() <= 0.5 / maxval + 1e-12
+
     def test_comments_and_whitespace(self, tmp_path):
         path = tmp_path / "x.pgm"
         path.write_bytes(b"P5 # magic\n# a comment line\n 2\t1 \n255\n" + bytes([7, 9]))
@@ -119,6 +136,26 @@ class TestVolume:
         path = tmp_path / "v.vol"
         write_image(path, volume)
         np.testing.assert_array_equal(read_image(path), volume)
+
+    def test_float64_write_copies_nothing(self, tmp_path, traced_peak):
+        volume = np.random.default_rng(5).random((64, 64, 64))
+        path = tmp_path / "v.vol"
+        _, peak = traced_peak(write_image, path, volume)
+        assert peak < 0.1 * volume.nbytes, peak
+        np.testing.assert_array_equal(read_image(path), volume)
+
+    @pytest.mark.parametrize("dtype", ["<f4", "<f8", "u1", "<u2"])
+    def test_strided_volumes_write_in_raster_order(self, tmp_path, dtype):
+        volume = np.random.default_rng(6).random((4, 6, 10))
+        path = tmp_path / "v.vol"
+        for view in (volume[:, :, ::2], np.asfortranarray(volume), volume.T):
+            write_image(path, view, vol_dtype=dtype)
+            expected = np.asarray(view, dtype=dtype)
+            if expected.dtype.kind == "u":
+                expected = np.rint(view * np.iinfo(dtype).max).astype(dtype)
+            np.testing.assert_array_equal(
+                np.frombuffer(path.read_bytes()[20:], dtype=dtype), expected.ravel()
+            )
 
     def test_integer_scaling(self, tmp_path):
         path = tmp_path / "v.vol"

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import pcagmm.linalg as linalg_mod
 from pcagmm.errors import InvalidParameter, InvalidShape, UncoveredPixel
 from pcagmm.patches import (
     OverlapAdd,
     PatchGeometry,
+    _spread,
     aggregate,
     extract_low,
     extract_pairs,
@@ -225,8 +227,9 @@ class TestAggregate:
 
     @pytest.mark.parametrize("out_dims", [(512, 512), (64, 64, 64)], ids=["2d", "3d"])
     def test_finish_holds_one_extra_output_array(self, out_dims, traced_peak):
-        # patches tile the output exactly, so every sample is covered; the
-        # denominator is the one output-sized array finish may add
+        # patches tile the output exactly, so every sample is covered; finish
+        # adds one slab of spread weights, _BLOCK_BYTES of rows and the
+        # edge - 1 rows before them, and divides the sums in place
         edge = 8
         grid = np.meshgrid(*(np.arange(0, m, edge) for m in out_dims), indexing="ij")
         origins = np.stack([g.ravel() for g in grid], axis=1)
@@ -235,8 +238,61 @@ class TestAggregate:
             np.random.default_rng(17).random((len(origins), edge ** len(out_dims))),
             origins,
         )
+        row = 8 * int(np.prod(out_dims[1:]))
+        slab = (linalg_mod.block_rows(row) + edge - 1) * row
         out, peak = traced_peak(acc.finish)
-        assert peak <= 1.5 * out.nbytes
+        assert np.shares_memory(out, acc.num)
+        assert peak <= slab + (64 << 10), (peak, slab)
+
+    @pytest.mark.parametrize("rows", [1, 3, 7, None])
+    @pytest.mark.parametrize("out_dims", [(23, 17), (11, 9, 7)], ids=["2d", "3d"])
+    def test_slabs_equal_one_shot_spread(self, out_dims, rows, monkeypatch):
+        rng = np.random.default_rng(18)
+        edge, gamma = 4, 0.3
+        ps = extract_low(rng.random(out_dims), edge)
+        keep = rng.random(ps.count) < 0.7  # uneven counts, every sample covered
+        last = np.array(out_dims) - edge
+        keep[np.all((ps.origins % edge == 0) | (ps.origins == last), axis=1)] = True
+        acc = OverlapAdd(out_dims, edge, gamma)
+        acc.add(rng.random((keep.sum(), edge ** len(out_dims))), ps.origins[keep])
+        expected = acc.num / _spread(acc.count, patch_weights(edge, 1, gamma))
+        if rows is not None:
+            monkeypatch.setattr(
+                linalg_mod, "_BLOCK_BYTES", rows * 8 * int(np.prod(out_dims[1:]))
+            )
+        assert np.array_equal(acc.finish(), expected)
+
+    @pytest.mark.parametrize(
+        "gamma, copies, message",
+        [(0.3, 0, "covered by no patch"), (746.5, 1, "underflow")],
+    )
+    def test_zero_weight_in_a_middle_slab(self, gamma, copies, message, monkeypatch):
+        # edge-3 patches tile a 21 x 9 output, 16 copies of each but the one
+        # at (9, 3), which has `copies`. At gamma=746.5 a patch corner weighs
+        # about 2^-1077: 0 for one patch, 2^-1073 for sixteen. Slabs of 3
+        # rows put that patch in rows 9-11, and the halo rows 7-8 hold no
+        # origin, so they are not covered within the slab
+        origins = np.indices((7, 3)).reshape(2, -1).T * 3
+        counts = np.where(np.all(origins == [9, 3], axis=1), copies, 16)
+        acc = OverlapAdd((21, 9), 3, gamma)
+        acc.add(np.ones((counts.sum(), 9)), np.repeat(origins, counts, axis=0))
+        zeros = np.argwhere(_spread(acc.count, patch_weights(3, 1, gamma)) == 0.0)
+        assert set(zeros[:, 0]) == ({9, 11} if copies else {9, 10, 11})
+        monkeypatch.setattr(linalg_mod, "_BLOCK_BYTES", 3 * 8 * 9)
+        with pytest.raises(UncoveredPixel, match=message) as err:
+            acc.finish()
+        if copies:
+            assert "covered by no patch" not in str(err.value)
+
+    @pytest.mark.parametrize("out_dims", [(13, 11), (9, 11, 7)], ids=["2d", "3d"])
+    def test_chunked_add_equals_one_chunk(self, out_dims, monkeypatch):
+        rng = np.random.default_rng(19)
+        ps = extract_low(rng.random(out_dims), 3)
+        values = rng.random((ps.count, 3 ** len(out_dims)))
+        expected = aggregate(values, ps.origins, 3, 0.4, out_dims)
+        monkeypatch.setattr(linalg_mod, "_BLOCK_BYTES", 7 * 8 * values.shape[1])
+        got = aggregate(values, ps.origins, 3, 0.4, out_dims)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
 
     def test_weights_match_stated_formula(self):
         gamma, edge = 0.25, 6

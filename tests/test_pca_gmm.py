@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pcagmm.gmm as gmm_mod
+import pcagmm.linalg as linalg_mod
 import pcagmm.pca_gmm as pca_mod
 from pcagmm.errors import EmptyComponent, InvalidParameter, NotPositiveDefinite
 from pcagmm.gmm import EmConfig, GmmParams, fit_gmm, gauss_logpdf, gmm_estep, gmm_nll
@@ -279,7 +280,7 @@ class TestEstep:
     def test_log_joint_across_block_edges(self, N, shift, tol, monkeypatch):
         # blocks of 7 rows: two whole blocks and a 1-row block, or one partial
         K, n, d = 4, 40, 3
-        monkeypatch.setattr(pca_mod, "_BLOCK_BYTES", 7 * 8 * max(K * d, n))
+        monkeypatch.setattr(linalg_mod, "_BLOCK_BYTES", 7 * 8 * max(K * d, n))
         rng = np.random.default_rng(33)
         model = random_model(rng, K, n, d, sigma=0.05)
         X = rng.standard_normal((N, n)) + shift
@@ -288,7 +289,7 @@ class TestEstep:
         np.testing.assert_allclose(got, self.direct_log_joint(model, X), rtol=0, atol=tol)
 
     def test_component_without_weight_scores_minus_inf(self, monkeypatch):
-        monkeypatch.setattr(pca_mod, "_BLOCK_BYTES", 7 * 8 * 6)  # 7-row blocks
+        monkeypatch.setattr(linalg_mod, "_BLOCK_BYTES", 7 * 8 * 6)  # 7-row blocks
         rng = np.random.default_rng(31)
         model = random_model(rng, 3, 6, 2)
         model.alpha = np.array([0.5, 0.0, 0.5])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pcagmm.linalg as linalg_mod
 from pcagmm import superres
 from pcagmm.degrade import degrade
 from pcagmm.errors import InvalidParameter
@@ -9,16 +10,25 @@ from pcagmm.linalg import random_stiefel
 from pcagmm.metrics import nearest_upsample, psnr
 from pcagmm.patches import PatchGeometry, aggregate, extract_low, extract_pairs
 from pcagmm.pca_gmm import PcaGmmModel, lift_component
-from pcagmm.superres import (
-    _selection_scores,
-    mmse_patch,
-    precompute_conditionals,
-    reconstruct,
-    select_component,
-)
+from pcagmm.superres import _selection_scores, precompute_conditionals, reconstruct
 
 GEOM = PatchGeometry(tau=2, q=2, dims=2)  # n_high=16, n_low=4, n=20
 GEOM3 = PatchGeometry(tau=2, q=2, dims=3)  # n_high=64, n_low=8, n=72
+
+
+def select_component(blocks, x_low):
+    """Index of the component with maximal weighted low-block density; ties
+    resolve to the smallest index. The patch-by-patch reference of the
+    selection in reconstruct."""
+    return int(np.argmax(_selection_scores(blocks, np.atleast_2d(x_low))[0]))
+
+
+def mmse_patch(blocks, k, x_low):
+    """Conditional mean of the high block given the observed low block. The
+    patch-by-patch reference of the estimates in reconstruct."""
+    return blocks.mean_high[k] + blocks.gain[k] @ (
+        np.asarray(x_low, dtype=float) - blocks.mean_low[k]
+    )
 
 
 def random_gmm(rng, K, n):
@@ -401,16 +411,27 @@ class TestTiledReconstruct:
                 reconstruct(low, model, geom, gamma=0.3), expected, rtol=0, atol=1e-12
             )
 
+    @pytest.mark.filterwarnings("ignore:excluding component 1")
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("case", sorted(TILED_CASES))
+    def test_equals_patchwise_reference_in_row_blocks(self, case, rows, monkeypatch):
+        # selection scores the tile `rows` patches at a time; the overlap-add
+        # chunks and slabs shrink with it
+        geom, _, make_model = TILED_CASES[case]
+        K = make_model(np.random.default_rng(30)).n_components
+        monkeypatch.setattr(linalg_mod, "_BLOCK_BYTES", rows * 8 * max(K, geom.n_low))
+        self.test_equals_patchwise_reference(case, monkeypatch)
+
     def test_memory_is_bounded_by_the_tile(self, traced_peak):
         geom = PatchGeometry(tau=4, q=2, dims=2)
         rng = np.random.default_rng(31)
         model = random_gmm(rng, 2, geom.n_joint)
-        ceiling = 20 << 20
+        ceiling = 6 << 20
         # below what the estimates of every patch of the larger image need
         assert ceiling < (256 - geom.tau + 1) ** 2 * geom.n_high * 8
         for edge in (128, 256):
             low = rng.random((edge, edge))
             out, peak = traced_peak(reconstruct, low, model, geom)
-            # the input, plus at most five output-sized arrays: the weighted
-            # sums, the origin counts and the weight sums as they are spread
-            assert peak - low.nbytes - 5 * out.nbytes < ceiling, (edge, peak)
+            # the input and the accumulator, 12 bytes per output sample; the
+            # result is the accumulator's sums, divided in place
+            assert peak - low.nbytes - 12 * out.size < ceiling, (edge, peak)
