@@ -20,6 +20,7 @@ from .errors import (
     VersionMismatch,
 )
 from .gmm import GmmParams
+from .linalg import block_rows
 from .patches import PatchGeometry
 from .pca_gmm import PcaGmmModel
 
@@ -73,28 +74,33 @@ def _parse_pgm(raw):
         raise CorruptHeader(f"PGM extents {width}x{height} are below 1")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     count = width * height
-    payload = raw[pos : pos + count * dtype.itemsize]
-    if len(payload) != count * dtype.itemsize:
+    if len(raw) - pos < count * dtype.itemsize:
         raise CorruptHeader("truncated PGM payload")
-    data = np.frombuffer(payload, dtype=dtype).reshape(height, width)
-    return data.astype(float) / maxval
+    data = np.frombuffer(raw, dtype, count, offset=pos).astype(float)
+    data /= maxval
+    return data.reshape(height, width)
 
 
-def _quantized(image, maxval, dtype):
-    """image clipped to [0, 1], scaled and rounded in one float scratch array."""
-    scaled = np.clip(image, 0.0, 1.0)
-    scaled *= maxval
-    return np.rint(scaled, out=scaled).astype(dtype, order="C")
+def _write_quantized(fh, image, maxval, dtype):
+    """Write image clipped to [0, 1], scaled by maxval and rounded, as dtype
+    samples in raster order, one slab of leading-axis rows at a time through
+    one float scratch array of at most _BLOCK_BYTES (or one row)."""
+    rows = block_rows(8 * math.prod(image.shape[1:]))
+    scratch = np.empty((min(rows, len(image)), *image.shape[1:]))
+    for first in range(0, len(image), rows):
+        part = image[first : first + rows]
+        slab = np.clip(part, 0.0, 1.0, out=scratch[: len(part)])
+        slab *= maxval
+        fh.write(memoryview(np.rint(slab, out=slab).astype(dtype, order="C")))
 
 
 def _write_pgm(path, image, maxval):
     if image.ndim != 2:
         raise InvalidShape("PGM stores 2D images only")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-    quantized = _quantized(image, maxval, dtype)
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n%d\n" % (image.shape[1], image.shape[0], maxval))
-        fh.write(memoryview(quantized))
+        _write_quantized(fh, image, maxval, dtype)
 
 
 def _parse_volume(raw):
@@ -109,12 +115,13 @@ def _parse_volume(raw):
         raise CorruptHeader(f"VOL1 extents {nx}x{ny}x{nz} include a zero")
     dtype = np.dtype(_VOL_DTYPES[code])
     count = nx * ny * nz
-    payload = raw[20:]
-    if len(payload) != count * dtype.itemsize:
+    if len(raw) - 20 != count * dtype.itemsize:
         raise CorruptHeader("VOL1 payload length does not match the extents")
-    data = np.frombuffer(payload, dtype=dtype).reshape(nz, ny, nx)
+    data = np.frombuffer(raw, dtype, count, offset=20).reshape(nz, ny, nx)
     if dtype.kind == "u":
-        return data.astype(float) / np.iinfo(dtype).max
+        volume = data.astype(float)
+        volume /= np.iinfo(dtype).max
+        return volume
     if not np.isfinite(data).all():
         raise CorruptHeader("VOL1 float payload holds NaN or infinite samples")
     return data.astype(float)
@@ -126,15 +133,14 @@ def _write_volume(path, volume, dtype):
     dtype = np.dtype(dtype)
     if dtype not in _VOL_CODES:
         raise UnsupportedFormat(f"unsupported VOL1 dtype {dtype}")
-    if dtype.kind == "u":
-        data = _quantized(volume, np.iinfo(dtype).max, dtype)
-    else:
-        data = np.ascontiguousarray(volume, dtype)
     nz, ny, nx = volume.shape
     with open(path, "wb") as fh:
         fh.write(VOLUME_MAGIC)
         fh.write(struct.pack("<4I", nx, ny, nz, _VOL_CODES[dtype]))
-        fh.write(memoryview(data))
+        if dtype.kind == "u":
+            _write_quantized(fh, volume, np.iinfo(dtype).max, dtype)
+        else:
+            fh.write(memoryview(np.ascontiguousarray(volume, dtype)))
 
 
 def read_image(path):
@@ -235,11 +241,10 @@ def load_model(path):
     extent = {"n": n, "d": d}
     shapes = {name: [extent[axis] for axis in axes] for name, axes in layout.items()}
     sizes = [math.prod(shape) for shape in shapes.values()]
-    body = raw[newline + 1 :]
-    if len(body) != 8 * K * (1 + sum(sizes)):
+    if len(raw) - newline - 1 != 8 * K * (1 + sum(sizes)):
         raise CorruptHeader("model payload length does not match the header")
 
-    payload = np.frombuffer(body, dtype="<f8")
+    payload = np.frombuffer(raw, "<f8", offset=newline + 1)
     parts = np.split(payload[K:].reshape(K, -1), np.cumsum(sizes)[:-1], axis=1)
     values = {
         name: part.reshape(K, *shape).copy()

@@ -2,7 +2,7 @@
 
 This is both the baseline method of the benchmark tables and the numerical
 foundation reused by the reduced model and by component selection: the
-Gaussian scoring kernel, responsibility computation and the EM loop.
+whitening of a Gaussian, responsibility computation and the EM loop.
 """
 
 from dataclasses import dataclass

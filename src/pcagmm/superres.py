@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidShape, NotPositiveDefinite
-from .gmm import GmmParams, _log_scores, _whitening
+from .gmm import GmmParams, _whitening
 from .linalg import block_rows, regularized_cholesky, solve_triangular, try_cholesky
 
 # aggregate and extract_low are re-exported where the benchmark's tracer looks them up.
@@ -22,29 +22,29 @@ class ConditionalBlocks:
     """Per-component quantities for selecting a component from the low block
     and conditioning the high block on it.
 
-    log_alpha    : (K,) log mixture weights (-inf for excluded components)
-    mean_high    : (K, n_high)
-    mean_low     : (K, n_low)
-    gain         : (K, n_high, n_low) cross-covariance times inverse low block
-    whiten_low   : (K, n_low, n_low) L^{-1}, L the lower Cholesky factor of
-                   the low block
-    shift_low    : (K, n_low) L^{-1} mean_low
-    log_norm_low : (K,) log normalizer -n_low/2 log(2 pi) - log det L
-    valid        : (K,) bool, False for excluded components
+    mean_high : (K, n_high)
+    mean_low  : (K, n_low)
+    gain      : (K, n_high, n_low) cross-covariance times inverse low block
+    whiten    : (n_low + 1, K n_low) the low-block whitenings side by side:
+                columns k n_low to (k + 1) n_low hold L_k^{-T} above the shift
+                -(L_k^{-1} mean_low[k])^T, L_k the lower Cholesky factor of
+                component k's low block
+    log_const : (K,) log alpha_k plus the log normalizer
+                -n_low/2 log(2 pi) - log det L_k (-inf for excluded components)
+    valid     : (K,) bool, False for excluded components
 
-    The whitening (whiten_low, shift_low, log_norm_low) is made once here, so
-    selection costs one small product per component and batch of patches.
-    An excluded component's low-block fields are left uninitialized;
-    selection never reads them because its log weight is -inf.
+    A low patch x scores log_const[k] - ||x L_k^{-T} - L_k^{-1} mean_low[k]||^2 / 2
+    under component k, so one product [x, 1] @ whiten whitens and shifts a
+    batch of patches for every component at once. An excluded component's
+    columns are zero and its constant is -inf, so it scores -inf and its
+    other fields are never read; its means are left uninitialized.
     """
 
-    log_alpha: np.ndarray
     mean_high: np.ndarray
     mean_low: np.ndarray
     gain: np.ndarray
-    whiten_low: np.ndarray
-    shift_low: np.ndarray
-    log_norm_low: np.ndarray
+    whiten: np.ndarray
+    log_const: np.ndarray
     valid: np.ndarray
 
 
@@ -88,13 +88,11 @@ def precompute_conditionals(model, geom):
     nh, nl = geom.n_high, geom.n_low
     K = model.n_components
     blocks = ConditionalBlocks(
-        log_alpha=np.full(K, -np.inf),
         mean_high=np.empty((K, nh)),
         mean_low=np.empty((K, nl)),
         gain=np.zeros((K, nh, nl)),
-        whiten_low=np.empty((K, nl, nl)),
-        shift_low=np.empty((K, nl)),
-        log_norm_low=np.empty(K),
+        whiten=np.zeros((nl + 1, K * nl)),
+        log_const=np.full(K, -np.inf),
         valid=np.zeros(K, dtype=bool),
     )
     for k in range(K):
@@ -113,34 +111,53 @@ def precompute_conditionals(model, geom):
         blocks.gain[k] = solved.T if left is None else left @ solved.T
         blocks.mean_high[k] = mean[:nh]
         blocks.mean_low[k] = mean[nh:]
-        (
-            blocks.whiten_low[k],
-            blocks.shift_low[k],
-            blocks.log_norm_low[k],
-        ) = _whitening(L, blocks.mean_low[k])
+        cols = slice(k * nl, (k + 1) * nl)
+        whiten, shift, log_norm = _whitening(L, blocks.mean_low[k])
+        blocks.whiten[:nl, cols] = whiten.T
+        blocks.whiten[nl, cols] = -shift
         with np.errstate(divide="ignore"):
-            blocks.log_alpha[k] = np.log(model.alpha[k])
+            blocks.log_const[k] = np.log(model.alpha[k]) + log_norm
         blocks.valid[k] = True
     if not blocks.valid.any():
         raise NotPositiveDefinite("every component was excluded")
     return blocks
 
 
-def _selection_scores(blocks, XL):
-    """N x K matrix of log alpha_k plus the low-block log density of XL's rows."""
-    return _log_scores(
-        XL,
-        blocks.log_alpha,
-        lambda k: (blocks.whiten_low[k], blocks.shift_low[k], blocks.log_norm_low[k]),
+def _selection_scores(blocks, X1, work=None):
+    """len(X1) x K matrix of log alpha_k plus the low-block log density of
+    each low patch, given as a row of X1 with a 1 appended. The rows are
+    whitened and shifted for every component by one product, into `work`
+    when it is given (at least len(X1) K n_low floats); the squares are
+    formed in place and each component's are summed by one matrix-vector
+    product."""
+    B, nl, K = len(X1), X1.shape[1] - 1, len(blocks.log_const)
+    width = K * nl
+    Z = np.matmul(
+        X1, blocks.whiten, out=None if work is None else work[: B * width].reshape(B, width)
     )
+    Z *= Z
+    scores = (Z.reshape(B * K, nl) @ np.ones(nl)).reshape(B, K)
+    scores *= -0.5
+    scores += blocks.log_const
+    return scores
 
 
 def _select(blocks, XL):
     """Per row of XL, the component of largest weighted low-block density,
-    ties to the smallest; scored in row blocks of at most _BLOCK_BYTES."""
-    rows = block_rows(8 * max(blocks.log_alpha.size, XL.shape[1]))
-    parts = (XL[first : first + rows] for first in range(0, len(XL), rows))
-    return np.concatenate([_selection_scores(blocks, x).argmax(axis=1) for x in parts])
+    ties to the smallest. Rows are scored in blocks whose whitened rows take
+    at most _BLOCK_BYTES; each block is copied next to a column of ones, and
+    both buffers are reused across the blocks."""
+    nl, width = XL.shape[1], blocks.whiten.shape[1]
+    rows = block_rows(8 * width)
+    X1 = np.ones((min(rows, len(XL)), nl + 1))
+    work = np.empty(len(X1) * width)
+    ks = np.empty(len(XL), dtype=np.intp)
+    for first in range(0, len(XL), rows):
+        x = XL[first : first + rows]
+        X1[: len(x), :nl] = x
+        scores = _selection_scores(blocks, X1[: len(x)], work)
+        ks[first : first + len(x)] = scores.argmax(axis=1)
+    return ks
 
 
 def reconstruct(low, model, geom, gamma=0.1):
@@ -166,19 +183,23 @@ def reconstruct(low, model, geom, gamma=0.1):
     tile = max(1, _TILE_BYTES // (8 * geom.n_high))
     buffer = None
     for patches in low_patch_tiles(low, geom.tau, tile):
+        count = patches.count
         if buffer is None:  # the first tile is the largest
-            buffer = np.empty((patches.count, geom.n_high))
+            buffer = np.empty((count, geom.n_high))
         ks = _select(blocks, patches.data)
         # group the patches by component so that each group is a row range
         order = np.argsort(ks)
         x = patches.data[order]
+        origins = geom.q * patches.origins[order]
+        del patches
         ks, starts = np.unique(ks[order], return_index=True)
-        estimates = buffer[: patches.count]
-        for k, rows in zip(ks, map(slice, starts, [*starts[1:], patches.count])):
+        estimates = buffer[:count]
+        for k, rows in zip(ks, map(slice, starts, [*starts[1:], count])):
             x[rows] -= blocks.mean_low[k]
             np.matmul(x[rows], blocks.gain[k].T, out=estimates[rows])
             estimates[rows] += blocks.mean_high[k]
-        acc.add(estimates, geom.q * patches.origins[order])
-        del patches, x, estimates  # before the next tile is gathered
+        del x, order  # the overlap-add holds the peak; it needs only these two
+        acc.add(estimates, origins)
+        del estimates, origins  # before the next tile is gathered
     del buffer
     return acc.finish()

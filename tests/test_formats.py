@@ -89,6 +89,31 @@ class TestPgm:
         expected = np.rint(np.clip(image, 0.0, 1.0) * 255).astype("u1")
         assert path.read_bytes().endswith(expected.tobytes())
 
+    def test_write_holds_one_slab_of_scratch(self, tmp_path, traced_peak):
+        image = np.random.default_rng(7).random((1024, 1024))
+        path = tmp_path / "x.pgm"
+        _, peak = traced_peak(write_image, path, image)
+        assert peak < 2 << 20, peak
+
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_slabs_write_the_whole_image_quantization(self, tmp_path, maxval):
+        # more rows than one slab holds, and a slab count that does not divide them
+        image = 1.4 * np.random.default_rng(8).random((1031, 517)) - 0.2
+        path = tmp_path / "x.pgm"
+        write_image(path, image, maxval=maxval)
+        dtype = ">u2" if maxval > 255 else "u1"
+        expected = np.rint(np.clip(image, 0.0, 1.0) * maxval).astype(dtype)
+        header = b"P5\n517 1031\n%d\n" % maxval
+        assert path.read_bytes() == header + expected.tobytes()
+
+    def test_read_copies_the_payload_once(self, tmp_path, traced_peak):
+        image = np.random.default_rng(9).random((512, 512))
+        path = tmp_path / "x.pgm"
+        write_image(path, image)
+        # the file's bytes (1 byte a sample) and the float result
+        _, peak = traced_peak(read_image, path)
+        assert peak <= 1.1 * (image.nbytes + image.size), peak
+
     @pytest.mark.parametrize("maxval", [255, 65535])
     def test_strided_images_write_in_raster_order(self, tmp_path, maxval):
         image = np.random.default_rng(4).random((6, 10))
@@ -143,6 +168,15 @@ class TestVolume:
         _, peak = traced_peak(write_image, path, volume)
         assert peak < 0.1 * volume.nbytes, peak
         np.testing.assert_array_equal(read_image(path), volume)
+
+    @pytest.mark.parametrize("dtype", ["<f8", "u1"])
+    def test_read_copies_the_payload_once(self, tmp_path, traced_peak, dtype):
+        volume = np.random.default_rng(10).random((64, 64, 64))
+        path = tmp_path / "v.vol"
+        write_image(path, volume, vol_dtype=dtype)
+        # the file's bytes and the float64 result
+        _, peak = traced_peak(read_image, path)
+        assert peak <= 2.1 * volume.nbytes, peak
 
     @pytest.mark.parametrize("dtype", ["<f4", "<f8", "u1", "<u2"])
     def test_strided_volumes_write_in_raster_order(self, tmp_path, dtype):
@@ -440,6 +474,15 @@ class TestModelFile:
             np.testing.assert_array_equal(loaded.means, model.means)
             np.testing.assert_array_equal(loaded.covs, model.covs)
         np.testing.assert_array_equal(loaded.alpha, model.alpha)
+
+
+def test_model_load_copies_the_payload_once(tmp_path, traced_peak):
+    model = random_gmm(np.random.default_rng(11), 16, 128)
+    path = tmp_path / "m.pgmm"
+    save_model(path, model)
+    # the file's bytes and the model's arrays, plus validation scratch
+    _, peak = traced_peak(load_model, path)
+    assert peak <= 2.2 * path.stat().st_size, peak
 
 
 def test_model_kinds_name_every_dataclass_field():

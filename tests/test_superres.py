@@ -4,23 +4,64 @@ import pytest
 import pcagmm.linalg as linalg_mod
 from pcagmm import superres
 from pcagmm.degrade import degrade
-from pcagmm.errors import InvalidParameter
-from pcagmm.gmm import GmmParams
+from pcagmm.errors import InvalidParameter, NotPositiveDefinite
+from pcagmm.gmm import GmmParams, gauss_logpdf
 from pcagmm.linalg import random_stiefel
 from pcagmm.metrics import nearest_upsample, psnr
 from pcagmm.patches import PatchGeometry, aggregate, extract_low, extract_pairs
 from pcagmm.pca_gmm import PcaGmmModel, lift_component
-from pcagmm.superres import _selection_scores, precompute_conditionals, reconstruct
+from pcagmm.superres import (
+    _select,
+    _selection_scores,
+    precompute_conditionals,
+    reconstruct,
+)
 
 GEOM = PatchGeometry(tau=2, q=2, dims=2)  # n_high=16, n_low=4, n=20
 GEOM3 = PatchGeometry(tau=2, q=2, dims=3)  # n_high=64, n_low=8, n=72
 
 
-def select_component(blocks, x_low):
+def low_block(model, geom, k):
+    """Mean and covariance of component k's low block, sliced from its n x n
+    form (a subspace component is lifted first)."""
+    if isinstance(model, PcaGmmModel):
+        lifted = lift(model, k)
+        mean, cov = lifted.mean, lifted.cov
+    else:
+        mean, cov = model.means[k], model.covs[k]
+    nh = geom.n_high
+    return mean[nh:], cov[nh:, nh:]
+
+
+def reference_scores(model, geom, x_low):
+    """Per component, log alpha_k plus gauss_logpdf of x_low under its low
+    block; -inf where the low block does not factor."""
+    scores = np.full(model.n_components, -np.inf)
+    for k in range(model.n_components):
+        try:
+            scores[k] = np.log(model.alpha[k]) + gauss_logpdf(
+                x_low, *low_block(model, geom, k)
+            )
+        except NotPositiveDefinite:
+            pass
+    return scores
+
+
+def select_component(model, geom, x_low):
     """Index of the component with maximal weighted low-block density; ties
     resolve to the smallest index. The patch-by-patch reference of the
-    selection in reconstruct."""
-    return int(np.argmax(_selection_scores(blocks, np.atleast_2d(x_low))[0]))
+    selection in reconstruct, scored one component at a time."""
+    return int(np.argmax(reference_scores(model, geom, x_low)))
+
+
+def with_ones(X):
+    """Low patches as the selection kernel takes them: a 1 appended to each."""
+    return np.column_stack((X, np.ones(len(X))))
+
+
+def selected(blocks, x_low):
+    """The selection kernel's choice for one low patch."""
+    return int(_select(blocks, np.atleast_2d(x_low))[0])
 
 
 def mmse_patch(blocks, k, x_low):
@@ -83,9 +124,26 @@ def lifted_blocks(model, geom, k):
         "mean_high": lifted.mean[:nh],
         "mean_low": lifted.mean[nh:],
         "gain": np.linalg.solve(low, lifted.cov[:nh, nh:].T).T,
-        "whiten_low": whiten,
-        "shift_low": whiten @ lifted.mean[nh:],
-        "log_norm_low": -0.5 * nl * np.log(2 * np.pi) - np.log(np.diag(L)).sum(),
+        "whiten": whiten.T,
+        "shift": whiten @ lifted.mean[nh:],
+        "log_const": np.log(model.alpha[k])
+        - 0.5 * nl * np.log(2 * np.pi)
+        - np.log(np.diag(L)).sum(),
+    }
+
+
+def component_fields(blocks, k):
+    """Component k's slice of every per-component field of blocks; its
+    whitening and shift are its columns of the stacked whitening."""
+    nl = blocks.mean_low.shape[1]
+    cols = slice(k * nl, (k + 1) * nl)
+    return {
+        "mean_high": blocks.mean_high[k],
+        "mean_low": blocks.mean_low[k],
+        "gain": blocks.gain[k],
+        "whiten": blocks.whiten[:nl, cols],
+        "shift": -blocks.whiten[nl, cols],
+        "log_const": blocks.log_const[k],
     }
 
 
@@ -120,8 +178,9 @@ class TestReducedConditionals:
         blocks = precompute_conditionals(model, geom)
         assert blocks.valid.all()
         for k in range(model.n_components):
+            fields = component_fields(blocks, k)
             for name, expected in lifted_blocks(model, geom, k).items():
-                got = getattr(blocks, name)[k]
+                got = fields[name]
                 assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(
                     expected
                 ), (name, k)
@@ -191,11 +250,19 @@ class TestPrecompute:
             precompute_conditionals(random_gmm(rng, 1, 7), GEOM)
 
 
+SELECT_MODELS = {
+    "2d-gmm": (GEOM, lambda rng: random_gmm(rng, 5, GEOM.n_joint)),
+    "2d-pcagmm": (GEOM, lambda rng: random_reduced(rng, 5, GEOM.n_joint, 6)),
+    "3d-gmm": (GEOM3, lambda rng: random_gmm(rng, 5, GEOM3.n_joint)),
+    "3d-pcagmm": (GEOM3, lambda rng: random_reduced(rng, 5, GEOM3.n_joint, 12)),
+}
+
+
 class TestSelect:
     def test_single_component(self):
         rng = np.random.default_rng(2)
         blocks = precompute_conditionals(random_gmm(rng, 1, GEOM.n_joint), GEOM)
-        assert select_component(blocks, rng.standard_normal(GEOM.n_low)) == 0
+        assert selected(blocks, rng.standard_normal(GEOM.n_low)) == 0
 
     def test_density_dominance(self):
         n, nl = GEOM.n_joint, GEOM.n_low
@@ -207,16 +274,14 @@ class TestSelect:
             covs=np.repeat(np.eye(n)[None], 2, axis=0),
         )
         blocks = precompute_conditionals(params, GEOM)
-        assert select_component(blocks, np.zeros(nl)) == 0
-        assert select_component(blocks, np.full(nl, 50.0)) == 1
+        assert selected(blocks, np.zeros(nl)) == 0
+        assert selected(blocks, np.full(nl, 50.0)) == 1
 
     def test_matches_naive_ratio(self):
         rng = np.random.default_rng(3)
         params = random_gmm(rng, 3, GEOM.n_joint)
         blocks = precompute_conditionals(params, GEOM)
         nh = GEOM.n_high
-        from pcagmm.gmm import gauss_logpdf
-
         for _ in range(100):
             x = rng.standard_normal(GEOM.n_low)
             naive = [
@@ -224,19 +289,65 @@ class TestSelect:
                 + gauss_logpdf(x, params.means[k][nh:], params.covs[k][nh:, nh:])
                 for k in range(3)
             ]
-            assert select_component(blocks, x) == int(np.argmax(naive))
+            assert selected(blocks, x) == int(np.argmax(naive))
+
+    @pytest.mark.parametrize("case", sorted(SELECT_MODELS))
+    def test_scores_equal_per_component_densities(self, case):
+        geom, make_model = SELECT_MODELS[case]
+        rng = np.random.default_rng(3)
+        model = make_model(rng)
+        blocks = precompute_conditionals(model, geom)
+        X = 10.0 * rng.standard_normal((50, geom.n_low))
+        expected = np.array([reference_scores(model, geom, x) for x in X])
+        scores = _selection_scores(blocks, with_ones(X))
+        np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=0)
+        chosen = [select_component(model, geom, x) for x in X]
+        assert len(set(chosen)) > 1
+        assert _select(blocks, X).tolist() == chosen
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    @pytest.mark.parametrize("case", sorted(SELECT_MODELS))
+    def test_row_blocks_select_as_one_block(self, case, rows, monkeypatch):
+        # 20 rows: blocks of 1, of 3 with a remainder of 2, of 7 with 6
+        geom, make_model = SELECT_MODELS[case]
+        rng = np.random.default_rng(4)
+        model = make_model(rng)
+        blocks = precompute_conditionals(model, geom)
+        X = 10.0 * rng.standard_normal((20, geom.n_low))
+        expected = [select_component(model, geom, x) for x in X]
+        assert len(set(expected)) > 1
+        width = model.n_components * geom.n_low
+        monkeypatch.setattr(linalg_mod, "_BLOCK_BYTES", rows * 8 * width)
+        assert _select(blocks, X).tolist() == expected
+
+    @pytest.mark.parametrize("geom", [GEOM, GEOM3], ids=["2d", "3d"])
+    def test_zero_rows(self, geom):
+        rng = np.random.default_rng(5)
+        blocks = precompute_conditionals(random_gmm(rng, 3, geom.n_joint), geom)
+        empty = np.empty((0, geom.n_low))
+        assert _selection_scores(blocks, with_ones(empty)).shape == (0, 3)
+        ks = _select(blocks, empty)
+        assert ks.shape == (0,) and ks.dtype == np.intp
 
     def test_ties_break_to_smallest_index(self):
+        # one component repeated at indices 1, 2 and 4 scores bitwise equally
+        # there; the component at 0 and 3 is far away
         rng = np.random.default_rng(20)
-        params = random_gmm(rng, 1, GEOM.n_joint)
-        twice = GmmParams(
-            alpha=np.array([0.5, 0.5]),
-            means=np.repeat(params.means, 2, axis=0),
-            covs=np.repeat(params.covs, 2, axis=0),
-        )
-        blocks = precompute_conditionals(twice, GEOM)
-        for _ in range(10):
-            assert select_component(blocks, rng.standard_normal(GEOM.n_low)) == 0
+        order = [1, 0, 0, 1, 0]
+        for geom in (GEOM, GEOM3):
+            params = random_gmm(rng, 2, geom.n_joint)
+            params.means[1] += 1e3
+            repeated = GmmParams(
+                alpha=np.full(5, 0.2),
+                means=params.means[order],
+                covs=params.covs[order],
+            )
+            blocks = precompute_conditionals(repeated, geom)
+            X = rng.standard_normal((50, geom.n_low))
+            scores = _selection_scores(blocks, with_ones(X))
+            assert np.array_equal(scores[:, 1], scores[:, 2])
+            assert np.array_equal(scores[:, 1], scores[:, 4])
+            assert np.all(_select(blocks, X) == 1)
 
     def test_excluded_component_is_never_read(self):
         rng = np.random.default_rng(21)
@@ -244,14 +355,19 @@ class TestSelect:
         params.covs[1][GEOM.n_high :, GEOM.n_high :] = -np.eye(GEOM.n_low)
         with pytest.warns(UserWarning, match="excluding component 1"):
             blocks = precompute_conditionals(params, GEOM)
-        # the excluded whitening and mean are uninitialized; poison them
-        blocks.whiten_low[1] = np.nan
-        blocks.shift_low[1] = np.nan
-        blocks.log_norm_low[1] = np.nan
+        # its stacked whitening block and shift are zero and its constant is
+        # -inf, so it scores -inf; its means and gain are never read: poison them
+        excluded = component_fields(blocks, 1)
+        assert not excluded["whiten"].any() and not excluded["shift"].any()
+        assert excluded["log_const"] == -np.inf
         blocks.mean_low[1] = np.nan
-        scores = _selection_scores(blocks, rng.standard_normal((10, GEOM.n_low)))
+        blocks.mean_high[1] = np.nan
+        blocks.gain[1] = np.nan
+        X = rng.standard_normal((10, GEOM.n_low))
+        scores = _selection_scores(blocks, with_ones(X))
         assert np.all(scores[:, 1] == -np.inf)
         assert np.all(np.isfinite(scores[:, [0, 2]]))
+        assert 1 not in _select(blocks, X)
 
     def test_invariant_to_weight_rescaling(self):
         rng = np.random.default_rng(4)
@@ -261,9 +377,8 @@ class TestSelect:
             alpha=params.alpha * 0.25, means=params.means, covs=params.covs
         )
         blocks2 = precompute_conditionals(scaled, GEOM)
-        for _ in range(20):
-            x = rng.standard_normal(GEOM.n_low)
-            assert select_component(blocks1, x) == select_component(blocks2, x)
+        X = rng.standard_normal((20, GEOM.n_low))
+        assert np.array_equal(_select(blocks1, X), _select(blocks2, X))
 
 
 class TestMmse:
@@ -290,13 +405,11 @@ class TestMmse:
         from pcagmm.superres import ConditionalBlocks
 
         blocks = ConditionalBlocks(
-            log_alpha=np.zeros(1),
             mean_high=np.zeros((1, 1)),
             mean_low=np.zeros((1, 1)),
             gain=np.ones((1, 1, 1)),  # cov [[2, 1], [1, 1]] gives gain 1/1 = 1
-            whiten_low=np.ones((1, 1, 1)),
-            shift_low=np.zeros((1, 1)),
-            log_norm_low=np.zeros(1),
+            whiten=np.array([[1.0], [0.0]]),
+            log_const=np.zeros(1),
             valid=np.ones(1, dtype=bool),
         )
         assert mmse_patch(blocks, 0, np.array([1.0]))[0] == pytest.approx(1.0)
@@ -368,7 +481,7 @@ def reference_reconstruct(low, model, geom, gamma):
     """Patch by patch: select_component, mmse_patch, then one aggregate."""
     blocks = precompute_conditionals(model, geom)
     ps = extract_low(low, geom.tau)
-    ks = [select_component(blocks, x) for x in ps.data]
+    ks = [select_component(model, geom, x) for x in ps.data]
     estimates = np.array([mmse_patch(blocks, k, x) for k, x in zip(ks, ps.data)])
     out_dims = tuple(geom.q * m for m in low.shape)
     out = aggregate(estimates, geom.q * ps.origins, geom.high_edge, gamma, out_dims)
@@ -419,7 +532,7 @@ class TestTiledReconstruct:
         # chunks and slabs shrink with it
         geom, _, make_model = TILED_CASES[case]
         K = make_model(np.random.default_rng(30)).n_components
-        monkeypatch.setattr(linalg_mod, "_BLOCK_BYTES", rows * 8 * max(K, geom.n_low))
+        monkeypatch.setattr(linalg_mod, "_BLOCK_BYTES", rows * 8 * K * geom.n_low)
         self.test_equals_patchwise_reference(case, monkeypatch)
 
     def test_memory_is_bounded_by_the_tile(self, traced_peak):
