@@ -1,8 +1,9 @@
 """Full-dimensional Gaussian mixture models fitted by EM.
 
 This is both the baseline method of the benchmark tables and the numerical
-foundation reused by the reduced model and by component selection: the
-whitening of a Gaussian, responsibility computation and the EM loop.
+foundation reused by the reduced model and by component selection: the one
+stacked whitening kernel for full-covariance Gaussians, which scores this
+E-step and superres selection, responsibility computation and the EM loop.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,13 @@ from .errors import (
     InvalidShape,
     NotPositiveDefinite,
 )
-from .linalg import cholesky_spd, regularize_spd, solve_triangular, try_cholesky
+from .linalg import (
+    block_rows,
+    cholesky_spd,
+    regularize_spd,
+    solve_triangular,
+    try_cholesky,
+)
 from .stats import _EMPTY_REL, floored_moments
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -83,60 +90,77 @@ class EmTrace:
 
 
 def gauss_logpdf(x, mu, sigma):
-    """Log density of a multivariate normal, evaluated through the Cholesky
-    factor rather than an explicit inverse."""
+    """Log density of a multivariate normal at one point, through the Cholesky
+    factor and one triangular solve: the reference of the stacked kernel."""
     x = np.asarray(x, dtype=float)
     mu = np.asarray(mu, dtype=float)
     if x.shape != mu.shape or sigma.shape != (x.size, x.size):
         raise InvalidShape("inconsistent density argument shapes")
-    return float(_logpdf_rows(x[None], *_whitening(cholesky_spd(sigma), mu))[0])
+    L = cholesky_spd(sigma)
+    z = solve_triangular(L, x - mu, lower=True)
+    return float(-0.5 * (x.size * _LOG_2PI + z @ z) - np.sum(np.log(np.diag(L))))
 
 
-def _whitening(L, mu):
-    """Whitening of N(mu, L L^T): (L^{-1}, L^{-1} mu, log normalizer), so that
-    log N(x) = normalizer - ||L^{-1} x - L^{-1} mu||^2 / 2."""
-    Linv = solve_triangular(L, np.eye(L.shape[0]), lower=True)
-    return Linv, Linv @ mu, -0.5 * L.shape[0] * _LOG_2PI - np.sum(np.log(np.diag(L)))
+def _fill_whitening(whiten, log_const, k, L, mean, alpha):
+    """Write N(mean, L L^T) with weight alpha as component k of a stacked
+    whitening: columns k n to (k + 1) n of the (n + 1) x K n matrix whiten get
+    L^{-T} above the shift row -(L^{-1} mean)^T, and log_const[k] gets log
+    alpha plus the log normalizer -n/2 log(2 pi) - log det L, so that
+    log alpha + log N(x) = log_const[k] - ||[x, 1] whiten_k||^2 / 2."""
+    n = L.shape[0]
+    Linv = solve_triangular(L, np.eye(n), lower=True)
+    cols = slice(k * n, (k + 1) * n)
+    whiten[:n, cols] = Linv.T
+    whiten[n, cols] = -(Linv @ mean)
+    log_norm = -0.5 * n * _LOG_2PI - np.sum(np.log(np.diag(L)))
+    with np.errstate(divide="ignore"):
+        log_const[k] = np.log(alpha) + log_norm
 
 
-def _logpdf_rows(X, Linv, shift, log_norm, work=None):
-    """Log densities of the rows of X under the Gaussian whose whitening is
-    (Linv, shift, log_norm). The rows are whitened as X L^{-T} - L^{-1} mu, in
-    `work` when it is given (an array shaped like X), so no N-row temporary is
-    made."""
-    Z = np.matmul(X, Linv.T, out=work)
-    Z -= shift
-    return log_norm - 0.5 * np.einsum("ij,ij->i", Z, Z)
+def _score_blocks(X, whiten, log_const):
+    """Yield each row block of X as (rows, scores): its slice and its B x K
+    scores log_const[k] - ||[x, 1] whiten_k||^2 / 2 (see _fill_whitening).
 
-
-def _log_scores(X, log_alpha, whiten):
-    """N x K matrix of log alpha_k + log N(x; mu_k, L_k L_k^T), where whiten(k)
-    gives component k's whitening (see _whitening).
-
-    Only one component's whitening is alive at a time, and every component is
-    whitened in one N x n work array. A component whose log weight is -inf
-    scores -inf without calling whiten.
+    A block is copied next to a column of ones, whitened and shifted for every
+    component by one product into at most _BLOCK_BYTES, squared in place (an
+    overflow scores -inf), and each component's squares are summed times -1/2
+    by one matrix-vector product. Both buffers are reused, so a block's scores
+    are valid until the next block is drawn.
     """
-    out = np.full((X.shape[0], len(log_alpha)), -np.inf)
-    work = None
-    for k in np.flatnonzero(log_alpha != -np.inf):
-        Linv, shift, log_norm = whiten(k)
-        if work is None:
-            work = np.empty((X.shape[0], Linv.shape[0]))
-        out[:, k] = log_alpha[k] + _logpdf_rows(X, Linv, shift, log_norm, work)
-    return out
+    n, width, K = X.shape[1], whiten.shape[1], len(log_const)
+    rows = block_rows(8 * width)
+    X1 = np.ones((min(rows, len(X)), n + 1))
+    Z = np.empty((len(X1), width))
+    half = np.full(n, -0.5)  # scaling by a power of two commutes with rounding
+    for first in range(0, len(X), rows):
+        x = X[first : first + rows]
+        B = len(x)
+        X1[:B, :n] = x
+        z = np.matmul(X1[:B], whiten, out=Z[:B])
+        with np.errstate(over="ignore"):
+            z *= z
+        scores = (z.reshape(B * K, n) @ half).reshape(B, K)
+        scores += log_const
+        yield slice(first, first + B), scores
 
 
 def _log_joint(model, X):
     """N x K matrix of log(alpha_k) + log density of x_i under component k,
-    for any mixture with weights alpha, means and covariances covs."""
-    with np.errstate(divide="ignore"):
-        log_alpha = np.log(model.alpha)
-    return _log_scores(
-        X,
-        log_alpha,
-        lambda k: _whitening(cholesky_spd(model.covs[k]), model.means[k]),
-    )
+    for any mixture with weights alpha, means and covariances covs.
+
+    Each covariance is factored as stored, one at a time, into the stacked
+    whitening, which holds (n + 1) K n floats; a component of weight 0 is
+    never factored and scores -inf."""
+    n, K = X.shape[1], model.n_components
+    whiten = np.zeros((n + 1, K * n))
+    log_const = np.full(K, -np.inf)
+    for k in np.flatnonzero(model.alpha > 0):
+        L = cholesky_spd(model.covs[k])
+        _fill_whitening(whiten, log_const, k, L, model.means[k], model.alpha[k])
+    out = np.empty((X.shape[0], K))
+    for rows, scores in _score_blocks(X, whiten, log_const):
+        out[rows] = scores
+    return out
 
 
 def _normalize_rows(log_joint):

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidShape, NotPositiveDefinite
-from .gmm import GmmParams, _whitening
-from .linalg import block_rows, regularized_cholesky, solve_triangular, try_cholesky
+from .errors import DegenerateDensity, InvalidShape, NotPositiveDefinite
+from .gmm import GmmParams, _fill_whitening, _score_blocks
+from .linalg import regularized_cholesky, solve_triangular, try_cholesky
 
 # aggregate and extract_low are re-exported where the benchmark's tracer looks them up.
 from .patches import OverlapAdd, aggregate, extract_low, low_patch_tiles
@@ -25,19 +25,15 @@ class ConditionalBlocks:
     mean_high : (K, n_high)
     mean_low  : (K, n_low)
     gain      : (K, n_high, n_low) cross-covariance times inverse low block
-    whiten    : (n_low + 1, K n_low) the low-block whitenings side by side:
-                columns k n_low to (k + 1) n_low hold L_k^{-T} above the shift
-                -(L_k^{-1} mean_low[k])^T, L_k the lower Cholesky factor of
-                component k's low block
-    log_const : (K,) log alpha_k plus the log normalizer
-                -n_low/2 log(2 pi) - log det L_k (-inf for excluded components)
+    whiten    : (n_low + 1, K n_low) and
+    log_const : (K,) the low blocks N(mean_low[k], L_k L_k^T), L_k the lower
+                Cholesky factor, as the stacked whitening of
+                gmm._fill_whitening, which the selection kernel scores
     valid     : (K,) bool, False for excluded components
 
-    A low patch x scores log_const[k] - ||x L_k^{-T} - L_k^{-1} mean_low[k]||^2 / 2
-    under component k, so one product [x, 1] @ whiten whitens and shifts a
-    batch of patches for every component at once. An excluded component's
-    columns are zero and its constant is -inf, so it scores -inf and its
-    other fields are never read; its means are left uninitialized.
+    An excluded component's columns are zero and its constant is -inf, so it
+    scores -inf and its other fields are never read; its means are left
+    uninitialized.
     """
 
     mean_high: np.ndarray
@@ -111,52 +107,28 @@ def precompute_conditionals(model, geom):
         blocks.gain[k] = solved.T if left is None else left @ solved.T
         blocks.mean_high[k] = mean[:nh]
         blocks.mean_low[k] = mean[nh:]
-        cols = slice(k * nl, (k + 1) * nl)
-        whiten, shift, log_norm = _whitening(L, blocks.mean_low[k])
-        blocks.whiten[:nl, cols] = whiten.T
-        blocks.whiten[nl, cols] = -shift
-        with np.errstate(divide="ignore"):
-            blocks.log_const[k] = np.log(model.alpha[k]) + log_norm
+        _fill_whitening(
+            blocks.whiten, blocks.log_const, k, L, mean[nh:], model.alpha[k]
+        )
         blocks.valid[k] = True
     if not blocks.valid.any():
         raise NotPositiveDefinite("every component was excluded")
     return blocks
 
 
-def _selection_scores(blocks, X1, work=None):
-    """len(X1) x K matrix of log alpha_k plus the low-block log density of
-    each low patch, given as a row of X1 with a 1 appended. The rows are
-    whitened and shifted for every component by one product, into `work`
-    when it is given (at least len(X1) K n_low floats); the squares are
-    formed in place and each component's are summed by one matrix-vector
-    product."""
-    B, nl, K = len(X1), X1.shape[1] - 1, len(blocks.log_const)
-    width = K * nl
-    Z = np.matmul(
-        X1, blocks.whiten, out=None if work is None else work[: B * width].reshape(B, width)
-    )
-    Z *= Z
-    scores = (Z.reshape(B * K, nl) @ np.ones(nl)).reshape(B, K)
-    scores *= -0.5
-    scores += blocks.log_const
-    return scores
-
-
 def _select(blocks, XL):
     """Per row of XL, the component of largest weighted low-block density,
-    ties to the smallest. Rows are scored in blocks whose whitened rows take
-    at most _BLOCK_BYTES; each block is copied next to a column of ones, and
-    both buffers are reused across the blocks."""
-    nl, width = XL.shape[1], blocks.whiten.shape[1]
-    rows = block_rows(8 * width)
-    X1 = np.ones((min(rows, len(XL)), nl + 1))
-    work = np.empty(len(X1) * width)
+    ties to the smallest, scored in row blocks by the stacked whitening
+    kernel. Raises DegenerateDensity where a row's best score is not finite:
+    the patch has zero density under every component."""
     ks = np.empty(len(XL), dtype=np.intp)
-    for first in range(0, len(XL), rows):
-        x = XL[first : first + rows]
-        X1[: len(x), :nl] = x
-        scores = _selection_scores(blocks, X1[: len(x)], work)
-        ks[first : first + len(x)] = scores.argmax(axis=1)
+    for rows, scores in _score_blocks(XL, blocks.whiten, blocks.log_const):
+        best = scores.argmax(axis=1)
+        # each row's best score, through the flat index of its argmax
+        top = scores.ravel().take(best + scores.shape[1] * np.arange(len(best)))
+        if not np.all(np.isfinite(top)):
+            raise DegenerateDensity("a patch has zero density under every component")
+        ks[rows] = best
     return ks
 
 

@@ -424,6 +424,28 @@ class TestVolumePipeline:
         assert run("superres", "--low", low, "--model", model, "--output", out) == 0
         assert read_image(out).shape == (16, 16, 16)
 
+    def test_low_patch_of_zero_density_is_numerical_failure(self, tmp_path, capsys):
+        # a sample at 1e200 overflows the whitened square under every component
+        geom = PatchGeometry(tau=2, q=2, dims=3)
+        n = geom.n_joint
+        model, low = tmp_path / "m.pgmm", tmp_path / "low.vol"
+        fitted = PcaGmmModel(
+            alpha=np.array([0.5, 0.5]),
+            bases=np.stack([random_stiefel(n, 4, seed=s) for s in (1, 2)]),
+            offsets=np.full((2, n), 0.5),
+            variances=np.ones((2, 4)),
+            sigma=0.1,
+        )
+        save_model(model, fitted, geom)
+        volume = np.random.default_rng(7).random((6, 6, 6))
+        volume[2, 3, 1] = 1e200
+        write_image(low, volume)
+        assert run("superres", "--low", low, "--model", model,
+                   "--output", tmp_path / "sr.vol") == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+        assert "zero density" in err and "Traceback" not in err
+
     def test_non_finite_voxel_is_data_error(self, tmp_path):
         volume = np.random.default_rng(6).random((16, 16, 16))
         volume[3, 4, 5] = np.nan

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+import pcagmm.linalg as linalg_mod
 from pcagmm.errors import (
     DegenerateDensity,
     EmptyComponent,
@@ -98,10 +99,13 @@ class TestNll:
         )
         assert gmm_nll(params, np.zeros((0, 2))) == 0.0
 
-    def test_against_naive_summation(self):
+    @pytest.mark.parametrize("rows", [None, 1, 3], ids=["whole", "rows1", "rows3"])
+    def test_against_naive_summation(self, rows, monkeypatch):
         rng = np.random.default_rng(2)
         params = random_params(rng, 2, 1)
         X = rng.standard_normal((20, 1))
+        if rows is not None:
+            monkeypatch.setattr(linalg_mod, "_BLOCK_BYTES", rows * 8 * 2 * 1)
         naive = -sum(
             np.log(
                 sum(
@@ -130,11 +134,20 @@ class TestEstep:
         beta = gmm_estep(params, np.random.default_rng(1).standard_normal((12, 2)))
         np.testing.assert_allclose(beta, 0.5, atol=1e-14)
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_against_direct_ratio(self, seed):
+    @pytest.mark.parametrize(
+        "seed, rows",
+        [
+            pytest.param(seed, rows, id=f"{seed}-rows{rows}" if rows else f"{seed}")
+            for rows in (None, 1, 3)
+            for seed in range(3)
+        ],
+    )
+    def test_against_direct_ratio(self, seed, rows, monkeypatch):
         rng = np.random.default_rng(seed)
         params = random_params(rng, 3, 2)
         X = rng.standard_normal((10, 2))
+        if rows is not None:
+            monkeypatch.setattr(linalg_mod, "_BLOCK_BYTES", rows * 8 * 3 * 2)
         beta = gmm_estep(params, X)
         for i, x in enumerate(X):
             joint = np.array(
@@ -152,6 +165,30 @@ class TestEstep:
         )
         with pytest.raises(DegenerateDensity):
             gmm_estep(params, np.full((1, 1), 1e200))
+
+    def test_zero_weight_component_is_never_factored(self):
+        # its covariance does not factor, yet weight 0 leaves it out
+        rng = np.random.default_rng(3)
+        params = random_params(rng, 2, 3)
+        params.alpha = np.array([1.0, 0.0])
+        params.covs[1] = 0.0
+        X = rng.standard_normal((8, 3))
+        beta = gmm_estep(params, X)
+        assert np.array_equal(beta, np.tile([1.0, 0.0], (8, 1)))
+        alone = -sum(gauss_logpdf(x, params.means[0], params.covs[0]) for x in X)
+        assert gmm_nll(params, X) == pytest.approx(alone, rel=1e-12)
+
+    @pytest.mark.parametrize("N", [4_000, 16_000])
+    def test_working_set_does_not_grow_with_the_rows(self, N, traced_peak):
+        # beyond its N x K output, the E-step holds the (n + 1) x K n stacked
+        # whitening and one block of at most _BLOCK_BYTES of whitened rows
+        rng = np.random.default_rng(35)
+        K, n = 20, 80
+        params = random_params(rng, K, n)
+        X = rng.standard_normal((N, n))
+        _, peak = traced_peak(gmm_estep, params, X)
+        whitening = 8 * (n + 1) * K * n
+        assert peak - 8 * N * K < whitening + linalg_mod._BLOCK_BYTES + (1 << 19)
 
     @pytest.mark.parametrize("score", [gmm_estep, gmm_nll])
     def test_covariance_that_does_not_factor_raises(self, score):

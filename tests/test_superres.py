@@ -4,18 +4,13 @@ import pytest
 import pcagmm.linalg as linalg_mod
 from pcagmm import superres
 from pcagmm.degrade import degrade
-from pcagmm.errors import InvalidParameter, NotPositiveDefinite
-from pcagmm.gmm import GmmParams, gauss_logpdf
+from pcagmm.errors import DegenerateDensity, InvalidParameter, NotPositiveDefinite
+from pcagmm.gmm import GmmParams, _score_blocks, gauss_logpdf
 from pcagmm.linalg import random_stiefel
 from pcagmm.metrics import nearest_upsample, psnr
 from pcagmm.patches import PatchGeometry, aggregate, extract_low, extract_pairs
 from pcagmm.pca_gmm import PcaGmmModel, lift_component
-from pcagmm.superres import (
-    _select,
-    _selection_scores,
-    precompute_conditionals,
-    reconstruct,
-)
+from pcagmm.superres import _select, precompute_conditionals, reconstruct
 
 GEOM = PatchGeometry(tau=2, q=2, dims=2)  # n_high=16, n_low=4, n=20
 GEOM3 = PatchGeometry(tau=2, q=2, dims=3)  # n_high=64, n_low=8, n=72
@@ -54,9 +49,12 @@ def select_component(model, geom, x_low):
     return int(np.argmax(reference_scores(model, geom, x_low)))
 
 
-def with_ones(X):
-    """Low patches as the selection kernel takes them: a 1 appended to each."""
-    return np.column_stack((X, np.ones(len(X))))
+def stacked_scores(blocks, X):
+    """len(X) x K scores of the low patches X by the selection kernel."""
+    scores = np.empty((len(X), len(blocks.log_const)))
+    for rows, block in _score_blocks(X, blocks.whiten, blocks.log_const):
+        scores[rows] = block
+    return scores
 
 
 def selected(blocks, x_low):
@@ -299,7 +297,7 @@ class TestSelect:
         blocks = precompute_conditionals(model, geom)
         X = 10.0 * rng.standard_normal((50, geom.n_low))
         expected = np.array([reference_scores(model, geom, x) for x in X])
-        scores = _selection_scores(blocks, with_ones(X))
+        scores = stacked_scores(blocks, X)
         np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=0)
         chosen = [select_component(model, geom, x) for x in X]
         assert len(set(chosen)) > 1
@@ -325,7 +323,7 @@ class TestSelect:
         rng = np.random.default_rng(5)
         blocks = precompute_conditionals(random_gmm(rng, 3, geom.n_joint), geom)
         empty = np.empty((0, geom.n_low))
-        assert _selection_scores(blocks, with_ones(empty)).shape == (0, 3)
+        assert stacked_scores(blocks, empty).shape == (0, 3)
         ks = _select(blocks, empty)
         assert ks.shape == (0,) and ks.dtype == np.intp
 
@@ -344,7 +342,7 @@ class TestSelect:
             )
             blocks = precompute_conditionals(repeated, geom)
             X = rng.standard_normal((50, geom.n_low))
-            scores = _selection_scores(blocks, with_ones(X))
+            scores = stacked_scores(blocks, X)
             assert np.array_equal(scores[:, 1], scores[:, 2])
             assert np.array_equal(scores[:, 1], scores[:, 4])
             assert np.all(_select(blocks, X) == 1)
@@ -364,7 +362,7 @@ class TestSelect:
         blocks.mean_high[1] = np.nan
         blocks.gain[1] = np.nan
         X = rng.standard_normal((10, GEOM.n_low))
-        scores = _selection_scores(blocks, with_ones(X))
+        scores = stacked_scores(blocks, X)
         assert np.all(scores[:, 1] == -np.inf)
         assert np.all(np.isfinite(scores[:, [0, 2]]))
         assert 1 not in _select(blocks, X)
@@ -379,6 +377,15 @@ class TestSelect:
         blocks2 = precompute_conditionals(scaled, GEOM)
         X = rng.standard_normal((20, GEOM.n_low))
         assert np.array_equal(_select(blocks1, X), _select(blocks2, X))
+
+    def test_patch_of_zero_density_raises(self):
+        # its whitened square overflows under every component
+        rng = np.random.default_rng(22)
+        blocks = precompute_conditionals(random_gmm(rng, 3, GEOM.n_joint), GEOM)
+        X = rng.standard_normal((10, GEOM.n_low))
+        X[7, 2] = 1e200
+        with pytest.raises(DegenerateDensity, match="zero density"):
+            _select(blocks, X)
 
 
 class TestMmse:
