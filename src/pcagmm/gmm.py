@@ -121,27 +121,40 @@ def _score_blocks(X, whiten, log_const):
     """Yield each row block of X as (rows, scores): its slice and its B x K
     scores log_const[k] - ||[x, 1] whiten_k||^2 / 2 (see _fill_whitening).
 
-    A block is copied next to a column of ones, whitened and shifted for every
-    component by one product into at most _BLOCK_BYTES, squared in place (an
-    overflow scores -inf), and each component's squares are summed times -1/2
-    by one matrix-vector product. Both buffers are reused, so a block's scores
-    are valid until the next block is drawn.
+    A block of at least n + 1 rows is copied next to a column of ones; one
+    product whitens and shifts it for a chunk of components, as many as fit
+    in _BLOCK_BYTES at n + 1 rows and at least one, so a product never reads
+    more of the whitening than it writes (past n of about 360 one component's
+    product, the size of its whitening, exceeds _BLOCK_BYTES). The squares
+    are taken in place (an overflow scores -inf) and summed per component
+    times -1/2 by one matrix-vector product. X1, Z and scores are reused, so
+    a block's scores are valid until the next block is drawn.
     """
-    n, width, K = X.shape[1], whiten.shape[1], len(log_const)
-    rows = block_rows(8 * width)
+    n, K = X.shape[1], len(log_const)
+    per = min(K, block_rows(8 * n * (n + 1)))
+    rows = max(n + 1, block_rows(8 * per * n))
     X1 = np.ones((min(rows, len(X)), n + 1))
-    Z = np.empty((len(X1), width))
+    Z = np.empty(len(X1) * per * n)
+    scores = np.empty(len(X1) * K)
     half = np.full(n, -0.5)  # scaling by a power of two commutes with rounding
+    chunks = [(k, min(per, K - k)) for k in range(0, K, per)]
     for first in range(0, len(X), rows):
         x = X[first : first + rows]
         B = len(x)
         X1[:B, :n] = x
-        z = np.matmul(X1[:B], whiten, out=Z[:B])
-        with np.errstate(over="ignore"):
-            z *= z
-        scores = (z.reshape(B * K, n) @ half).reshape(B, K)
-        scores += log_const
-        yield slice(first, first + B), scores
+        out = scores[: B * K].reshape(B, K)
+        for k, c in chunks:
+            z = Z[: B * c * n].reshape(B, c * n)
+            np.matmul(X1[:B], whiten[:, k * n : (k + c) * n], out=z)
+            with np.errstate(over="ignore"):
+                z *= z
+            z = z.reshape(B * c, n)
+            if c == K:  # one chunk: the sums land in place
+                np.matmul(z, half, out=scores[: B * K])
+            else:
+                out[:, k : k + c] = (z @ half).reshape(B, c)
+        out += log_const
+        yield slice(first, first + B), out
 
 
 def _log_joint(model, X):

@@ -14,8 +14,10 @@ from pcagmm.errors import (
 from pcagmm.gmm import (
     EmConfig,
     GmmParams,
+    _fill_whitening,
     _normalize_rows,
     _run_em,
+    _score_blocks,
     fit_gmm,
     gauss_logpdf,
     gmm_estep,
@@ -99,13 +101,17 @@ class TestNll:
         )
         assert gmm_nll(params, np.zeros((0, 2))) == 0.0
 
-    @pytest.mark.parametrize("rows", [None, 1, 3], ids=["whole", "rows1", "rows3"])
-    def test_against_naive_summation(self, rows, monkeypatch):
+    # at n = 1, K = 2, a budget of 8 bytes leaves blocks of n + 1 = 2 rows
+    # scored one component a product, and 48 leaves 3-row blocks of both
+    @pytest.mark.parametrize(
+        "budget", [None, 8, 48], ids=["whole", "rows2-chunk1", "rows3"]
+    )
+    def test_against_naive_summation(self, budget, monkeypatch):
         rng = np.random.default_rng(2)
         params = random_params(rng, 2, 1)
         X = rng.standard_normal((20, 1))
-        if rows is not None:
-            monkeypatch.setattr(linalg_mod, "_BLOCK_BYTES", rows * 8 * 2 * 1)
+        if budget is not None:
+            monkeypatch.setattr(linalg_mod, "_BLOCK_BYTES", budget)
         naive = -sum(
             np.log(
                 sum(
@@ -134,20 +140,29 @@ class TestEstep:
         beta = gmm_estep(params, np.random.default_rng(1).standard_normal((12, 2)))
         np.testing.assert_allclose(beta, 0.5, atol=1e-14)
 
+    # at n = 2, K = 3, 10 rows: a budget of 16 bytes leaves blocks of
+    # n + 1 = 3 rows (the last of 1) scored one component a product, 144
+    # leaves 3-row blocks of all three, and 128 blocks of 4, 4 and 2 rows
+    # scored two components and then one
     @pytest.mark.parametrize(
-        "seed, rows",
+        "seed, budget",
         [
-            pytest.param(seed, rows, id=f"{seed}-rows{rows}" if rows else f"{seed}")
-            for rows in (None, 1, 3)
+            pytest.param(seed, budget, id=f"{seed}-{name}" if budget else f"{seed}")
+            for name, budget in [
+                ("", None),
+                ("rows3-chunk1", 16),
+                ("rows3", 144),
+                ("rows4-chunk2", 128),
+            ]
             for seed in range(3)
         ],
     )
-    def test_against_direct_ratio(self, seed, rows, monkeypatch):
+    def test_against_direct_ratio(self, seed, budget, monkeypatch):
         rng = np.random.default_rng(seed)
         params = random_params(rng, 3, 2)
         X = rng.standard_normal((10, 2))
-        if rows is not None:
-            monkeypatch.setattr(linalg_mod, "_BLOCK_BYTES", rows * 8 * 3 * 2)
+        if budget is not None:
+            monkeypatch.setattr(linalg_mod, "_BLOCK_BYTES", budget)
         beta = gmm_estep(params, X)
         for i, x in enumerate(X):
             joint = np.array(
@@ -178,17 +193,41 @@ class TestEstep:
         alone = -sum(gauss_logpdf(x, params.means[0], params.covs[0]) for x in X)
         assert gmm_nll(params, X) == pytest.approx(alone, rel=1e-12)
 
+    def test_blocks_keep_more_rows_than_the_dimension(self, monkeypatch):
+        # a budget of one row for all components: fewer components a product
+        # keep n + 1 rows a block, and the scores stay those of one product
+        rng = np.random.default_rng(4)
+        K, n = 8, 4
+        params = random_params(rng, K, n)
+        whiten, log_const = np.zeros((n + 1, K * n)), np.full(K, -np.inf)
+        for k in range(K):
+            L = np.linalg.cholesky(params.covs[k])
+            _fill_whitening(whiten, log_const, k, L, params.means[k], params.alpha[k])
+        X = rng.standard_normal((50, n))
+        whole = [s.copy() for _, s in _score_blocks(X, whiten, log_const)]
+        monkeypatch.setattr(linalg_mod, "_BLOCK_BYTES", 8 * K * n)
+        blocks = [(r, s.copy()) for r, s in _score_blocks(X, whiten, log_const)]
+        assert len(whole) == 1
+        assert all(r.stop - r.start >= n + 1 for r, _ in blocks[:-1])
+        np.testing.assert_allclose(
+            np.vstack([s for _, s in blocks]), whole[0], rtol=1e-13
+        )
+
+    @pytest.mark.parametrize("K, n", [(20, 80), (20, 160), (2, 400)])
     @pytest.mark.parametrize("N", [4_000, 16_000])
-    def test_working_set_does_not_grow_with_the_rows(self, N, traced_peak):
+    def test_working_set_does_not_grow_with_the_rows(self, N, K, n, traced_peak):
         # beyond its N x K output, the E-step holds the (n + 1) x K n stacked
-        # whitening and one block of at most _BLOCK_BYTES of whitened rows
+        # whitening and one block of at most _BLOCK_BYTES of whitened rows (at
+        # n = 160 a product scores 5 of the 20 components); at n = 400 factoring
+        # one covariance, three n x n arrays, outgrows a block of n + 1 rows
         rng = np.random.default_rng(35)
-        K, n = 20, 80
         params = random_params(rng, K, n)
         X = rng.standard_normal((N, n))
         _, peak = traced_peak(gmm_estep, params, X)
         whitening = 8 * (n + 1) * K * n
-        assert peak - 8 * N * K < whitening + linalg_mod._BLOCK_BYTES + (1 << 19)
+        factoring = 3 * 8 * n * n  # the factor, the identity and the inverse
+        scratch = max(linalg_mod._BLOCK_BYTES, factoring)
+        assert peak - 8 * N * K < whitening + scratch + (1 << 19)
 
     @pytest.mark.parametrize("score", [gmm_estep, gmm_nll])
     def test_covariance_that_does_not_factor_raises(self, score):
