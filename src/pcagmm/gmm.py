@@ -101,20 +101,27 @@ def gauss_logpdf(x, mu, sigma):
     return float(-0.5 * (x.size * _LOG_2PI + z @ z) - np.sum(np.log(np.diag(L))))
 
 
+def _inverse_factor(L, alpha):
+    """L^{-1} and log alpha plus the log normalizer -n/2 log(2 pi) - log det L
+    of N(., L L^T) with weight alpha (-inf at alpha = 0)."""
+    n = L.shape[0]
+    log_norm = -0.5 * n * _LOG_2PI - np.sum(np.log(np.diag(L)))
+    with np.errstate(divide="ignore"):
+        log_const = np.log(alpha) + log_norm
+    return solve_triangular(L, np.eye(n), lower=True), log_const
+
+
 def _fill_whitening(whiten, log_const, k, L, mean, alpha):
     """Write N(mean, L L^T) with weight alpha as component k of a stacked
     whitening: columns k n to (k + 1) n of the (n + 1) x K n matrix whiten get
-    L^{-T} above the shift row -(L^{-1} mean)^T, and log_const[k] gets log
-    alpha plus the log normalizer -n/2 log(2 pi) - log det L, so that
+    L^{-T} above the shift row -(L^{-1} mean)^T, and log_const[k] gets the
+    constant of _inverse_factor, so that
     log alpha + log N(x) = log_const[k] - ||[x, 1] whiten_k||^2 / 2."""
     n = L.shape[0]
-    Linv = solve_triangular(L, np.eye(n), lower=True)
+    Linv, log_const[k] = _inverse_factor(L, alpha)
     cols = slice(k * n, (k + 1) * n)
     whiten[:n, cols] = Linv.T
     whiten[n, cols] = -(Linv @ mean)
-    log_norm = -0.5 * n * _LOG_2PI - np.sum(np.log(np.diag(L)))
-    with np.errstate(divide="ignore"):
-        log_const[k] = np.log(alpha) + log_norm
 
 
 def _score_blocks(X, whiten, log_const):

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDensity, InvalidShape, NotPositiveDefinite
-from .gmm import GmmParams, _fill_whitening, _score_blocks
-from .linalg import regularized_cholesky, solve_triangular, try_cholesky
+from .gmm import GmmParams, _fill_whitening, _inverse_factor, _score_blocks
+from .linalg import block_rows, regularized_cholesky, solve_triangular, try_cholesky
 
 # aggregate and extract_low are re-exported where the benchmark's tracer looks them up.
 from .patches import OverlapAdd, aggregate, extract_low, low_patch_tiles
@@ -25,23 +25,38 @@ class ConditionalBlocks:
     mean_high : (K, n_high)
     mean_low  : (K, n_low)
     gain      : (K, n_high, n_low) cross-covariance times inverse low block
-    whiten    : (n_low + 1, K n_low) and
-    log_const : (K,) the low blocks N(mean_low[k], L_k L_k^T), L_k the lower
-                Cholesky factor, as the stacked whitening of
-                gmm._fill_whitening, which the selection kernel scores
+    log_const : (K,) log alpha_k plus the log normalizer of the low block
+                N(mean_low[k], L_k L_k^T), L_k its lower Cholesky factor
     valid     : (K,) bool, False for excluded components
 
-    An excluded component's columns are zero and its constant is -inf, so it
-    scores -inf and its other fields are never read; its means are left
-    uninitialized.
+    Selection holds exactly one of two matrices, by K against n_low alone;
+    the other field is None:
+
+    whiten    : (n_low + 1, K n_low) when K <= n_low, the stacked whitening
+                of gmm._fill_whitening; an excluded component's columns are 0
+    quadratic : (K, T + n_low + 1) when K > n_low, T = n_low (n_low + 1) / 2:
+                row k holds -P_ii / 2 and -P_ij (i < j) of the precision
+                P_k = L_k^{-T} L_k^{-1} in np.triu_indices order, then P_k m_k
+                and log_const[k] - m_k^T P_k m_k / 2, m_k = mean_low[k] -
+                centre, so that x scores log_const[k] - (y - m_k)^T P_k
+                (y - m_k) / 2 as one dot product with [y_i y_j (i <= j), y, 1],
+                y = x - centre; an excluded component's row is 0 but for -inf
+    centre    : (n_low,) with quadratic, the alpha-weighted mean of the valid
+                low means, which keeps the expanded form's rounding at the
+                scale of the patches' spread, not of their distance from 0
+
+    An excluded component's constant is -inf, so it scores -inf and its other
+    fields are never read; its means are NaN, so a read would show.
     """
 
     mean_high: np.ndarray
     mean_low: np.ndarray
     gain: np.ndarray
-    whiten: np.ndarray
     log_const: np.ndarray
     valid: np.ndarray
+    whiten: np.ndarray | None
+    quadratic: np.ndarray | None
+    centre: np.ndarray | None
 
 
 def _conditioning_moments(model, k, nh):
@@ -65,7 +80,8 @@ def _conditioning_moments(model, k, nh):
 
 def precompute_conditionals(model, geom):
     """Partition every component into high/low blocks matching the joint
-    patch layout, and factor and whiten the low blocks once.
+    patch layout, and factor the low blocks once into the selection matrix
+    that ConditionalBlocks describes.
 
     A subspace component's blocks come straight from its reduced parameters
     (see _conditioning_moments), so no n x n covariance is formed; the gain
@@ -83,14 +99,18 @@ def precompute_conditionals(model, geom):
         )
     nh, nl = geom.n_high, geom.n_low
     K = model.n_components
+    quadratic = K > nl
     blocks = ConditionalBlocks(
-        mean_high=np.empty((K, nh)),
-        mean_low=np.empty((K, nl)),
+        mean_high=np.full((K, nh), np.nan),
+        mean_low=np.full((K, nl), np.nan),
         gain=np.zeros((K, nh, nl)),
-        whiten=np.zeros((nl + 1, K * nl)),
         log_const=np.full(K, -np.inf),
         valid=np.zeros(K, dtype=bool),
+        whiten=None if quadratic else np.zeros((nl + 1, K * nl)),
+        quadratic=np.zeros((K, nl * (nl + 1) // 2 + nl + 1)) if quadratic else None,
+        centre=np.empty(nl) if quadratic else None,
     )
+    inverse = np.empty((K, nl, nl)) if quadratic else None  # each valid L_k^{-1}
     for k in range(K):
         mean, cov_low, left, right = _conditioning_moments(model, k, nh)
         try:
@@ -107,22 +127,93 @@ def precompute_conditionals(model, geom):
         blocks.gain[k] = solved.T if left is None else left @ solved.T
         blocks.mean_high[k] = mean[:nh]
         blocks.mean_low[k] = mean[nh:]
-        _fill_whitening(
-            blocks.whiten, blocks.log_const, k, L, mean[nh:], model.alpha[k]
-        )
+        if quadratic:
+            inverse[k], blocks.log_const[k] = _inverse_factor(L, model.alpha[k])
+        else:
+            _fill_whitening(
+                blocks.whiten, blocks.log_const, k, L, mean[nh:], model.alpha[k]
+            )
         blocks.valid[k] = True
     if not blocks.valid.any():
         raise NotPositiveDefinite("every component was excluded")
+    if quadratic:
+        _fill_quadratic(blocks, inverse, model.alpha)
     return blocks
+
+
+def _fill_quadratic(blocks, inverse, alpha):
+    """Write the centre and the rows of blocks.quadratic (see
+    ConditionalBlocks) from each valid component's L_k^{-1} in inverse.
+    P_k m_k and m_k^T P_k m_k are taken through w = L_k^{-1} m_k, so the
+    latter is the square ||w||^2. With no weight on any valid component,
+    whose patches all score -inf, the centre is their plain mean."""
+    valid = blocks.valid
+    weights = alpha[valid]
+    blocks.centre[:] = np.average(
+        blocks.mean_low[valid], axis=0, weights=weights if weights.any() else None
+    )
+    n = blocks.centre.size
+    upper = np.triu_indices(n)
+    half = np.where(upper[0] == upper[1], -0.5, -1.0)
+    quad, T = blocks.quadratic, len(half)
+    quad[:, -1] = blocks.log_const  # -inf for an excluded component
+    for k in np.flatnonzero(valid):
+        Linv = inverse[k]
+        w = Linv @ (blocks.mean_low[k] - blocks.centre)
+        quad[k, :T] = half * (Linv.T @ Linv)[upper]
+        quad[k, T:-1] = Linv.T @ w
+        quad[k, -1] -= 0.5 * (w @ w)
+
+
+def _quadratic_blocks(X, quadratic, centre):
+    """Yield each row block of X as (rows, scores): its slice and its B x K
+    scores through the quadratic form of ConditionalBlocks, as
+    gmm._score_blocks does through the whitening.
+
+    A block's features are written transposed into one reused
+    (T + n + 1) x B buffer: the n products y[i:] * y[i] (the upper triangle
+    in np.triu_indices order), y = x - centre, then a row of ones; one
+    product with the form scores the block. Neither the buffer nor the
+    scores exceed _BLOCK_BYTES (a block has at least one row), and both are
+    reused, so a block's scores are valid until the next block is drawn. A
+    patch whose features overflow scores -inf or NaN under every component.
+    """
+    n = X.shape[1]
+    K, width = quadratic.shape
+    T = width - n - 1
+    rows = block_rows(8 * max(width, K))
+    F = np.empty(min(rows, len(X)) * width)
+    scores = np.empty(min(rows, len(X)) * K)
+    for first in range(0, len(X), rows):
+        x = X[first : first + rows]
+        B = len(x)
+        f = F[: B * width].reshape(width, B)
+        y = f[T:-1]
+        np.subtract(x.T, centre[:, None], out=y)
+        f[-1] = 1.0
+        out = scores[: B * K].reshape(B, K)
+        with np.errstate(over="ignore", invalid="ignore"):
+            start = 0
+            for i in range(n):
+                np.multiply(y[i:], y[i], out=f[start : start + n - i])
+                start += n - i
+            np.matmul(f.T, quadratic.T, out=out)
+        yield slice(first, first + B), out
 
 
 def _select(blocks, XL):
     """Per row of XL, the component of largest weighted low-block density,
     ties to the smallest, scored in row blocks by the stacked whitening
-    kernel. Raises DegenerateDensity where a row's best score is not finite:
-    the patch has zero density under every component."""
+    kernel when K <= n_low and through the quadratic form when K > n_low,
+    whichever of the two blocks holds. Raises DegenerateDensity where a row's
+    best score is not finite (argmax stops at a NaN): the patch has zero
+    density under every component."""
     ks = np.empty(len(XL), dtype=np.intp)
-    for rows, scores in _score_blocks(XL, blocks.whiten, blocks.log_const):
+    if blocks.whiten is None:
+        pairs = _quadratic_blocks(XL, blocks.quadratic, blocks.centre)
+    else:
+        pairs = _score_blocks(XL, blocks.whiten, blocks.log_const)
+    for rows, scores in pairs:
         best = scores.argmax(axis=1)
         # each row's best score, through the flat index of its argmax
         top = scores.ravel().take(best + scores.shape[1] * np.arange(len(best)))
@@ -164,13 +255,15 @@ def reconstruct(low, model, geom, gamma=0.1):
         x = patches.data[order]
         origins = geom.q * patches.origins[order]
         del patches
-        ks, starts = np.unique(ks[order], return_index=True)
+        sizes = np.bincount(ks, minlength=len(blocks.valid))
+        ends = np.cumsum(sizes)
         estimates = buffer[:count]
-        for k, rows in zip(ks, map(slice, starts, [*starts[1:], count])):
+        for k in np.flatnonzero(sizes):
+            rows = slice(ends[k] - sizes[k], ends[k])
             x[rows] -= blocks.mean_low[k]
             np.matmul(x[rows], blocks.gain[k].T, out=estimates[rows])
             estimates[rows] += blocks.mean_high[k]
-        del x, order  # the overlap-add holds the peak; it needs only these two
+        del x, order, ks  # the overlap-add holds the peak; it needs only these two
         acc.add(estimates, origins)
         del estimates, origins  # before the next tile is gathered
     del buffer

@@ -10,7 +10,12 @@ from pcagmm.linalg import random_stiefel
 from pcagmm.metrics import nearest_upsample, psnr
 from pcagmm.patches import PatchGeometry, aggregate, extract_low, extract_pairs
 from pcagmm.pca_gmm import PcaGmmModel, lift_component
-from pcagmm.superres import _select, precompute_conditionals, reconstruct
+from pcagmm.superres import (
+    _quadratic_blocks,
+    _select,
+    precompute_conditionals,
+    reconstruct,
+)
 
 GEOM = PatchGeometry(tau=2, q=2, dims=2)  # n_high=16, n_low=4, n=20
 GEOM3 = PatchGeometry(tau=2, q=2, dims=3)  # n_high=64, n_low=8, n=72
@@ -50,9 +55,14 @@ def select_component(model, geom, x_low):
 
 
 def stacked_scores(blocks, X):
-    """len(X) x K scores of the low patches X by the selection kernel."""
+    """len(X) x K scores of the low patches X by the selection kernel that
+    blocks holds: the stacked whitening or the quadratic form."""
     scores = np.empty((len(X), len(blocks.log_const)))
-    for rows, block in _score_blocks(X, blocks.whiten, blocks.log_const):
+    if blocks.whiten is None:
+        pairs = _quadratic_blocks(X, blocks.quadratic, blocks.centre)
+    else:
+        pairs = _score_blocks(X, blocks.whiten, blocks.log_const)
+    for rows, block in pairs:
         scores[rows] = block
     return scores
 
@@ -60,6 +70,62 @@ def stacked_scores(blocks, X):
 def selected(blocks, x_low):
     """The selection kernel's choice for one low patch."""
     return int(_select(blocks, np.atleast_2d(x_low))[0])
+
+
+def select_row_bytes(K, nl):
+    """Bytes per patch of selection's largest scratch array: the whitened
+    rows (K n_low) when K <= n_low, otherwise the larger of the quadratic
+    form's features (T + n_low + 1, T = n_low (n_low + 1) / 2) and scores (K)."""
+    if K <= nl:
+        return 8 * K * nl
+    return 8 * max(nl * (nl + 1) // 2 + nl + 1, K)
+
+
+def quadratic_bound(model, geom, X):
+    """len(X) x K bound on the error of the quadratic form's scores:
+    N eps (||P_k|| (||y||^2 + ||m_k||^2) + |c_k| + 1), with N = T + n_low + 1
+    the length of its dot product, P_k the low block's precision, c_k the
+    log weight plus log normalizer, and y = x - c, m_k = mean_k - c centred
+    on the alpha-weighted mean c of the low means, taken here from the model.
+    Against the origin instead of c, ||x||^2 replaces ||y||^2."""
+    nl, K = geom.n_low, model.n_components
+    moments = [low_block(model, geom, k) for k in range(K)]
+    centre = model.alpha @ np.array([mean for mean, _ in moments])
+    y2 = np.sum((X - centre) ** 2, axis=1)
+    bound = np.empty((len(X), K))
+    for k, (mean, cov) in enumerate(moments):
+        const = np.log(model.alpha[k]) - 0.5 * (
+            nl * np.log(2 * np.pi) + np.linalg.slogdet(cov)[1]
+        )
+        bound[:, k] = np.linalg.norm(np.linalg.inv(cov), 2) * (
+            y2 + np.sum((mean - centre) ** 2)
+        ) + abs(const) + 1
+    return (nl * (nl + 1) // 2 + nl + 1) * np.finfo(float).eps * bound
+
+
+def shifted(model, by):
+    """The model with every mean moved by `by`."""
+    if isinstance(model, PcaGmmModel):
+        model.offsets += by
+    else:
+        model.means += by
+    return model
+
+
+def ill_conditioned_gmm(rng, K, geom, cond):
+    """K components whose low blocks have condition number cond, each in a
+    random eigenbasis, with identity high blocks and no cross block."""
+    nh, nl = geom.n_high, geom.n_low
+    covs = np.zeros((K, geom.n_joint, geom.n_joint))
+    covs[:, :nh, :nh] = np.eye(nh)
+    for k in range(K):
+        R = random_stiefel(nl, nl, seed=int(rng.integers(1 << 30)))
+        covs[k, nh:, nh:] = (R * np.geomspace(1.0 / cond, 1.0, nl)) @ R.T
+    alpha = rng.uniform(0.2, 1.0, K)
+    return GmmParams(
+        alpha=alpha / alpha.sum(), means=rng.standard_normal((K, geom.n_joint)),
+        covs=covs,
+    )
 
 
 def mmse_patch(blocks, k, x_low):
@@ -248,12 +314,20 @@ class TestPrecompute:
             precompute_conditionals(random_gmm(rng, 1, 7), GEOM)
 
 
+# K = 5 components select through the quadratic form in 2D (n_low = 4) and
+# through the whitening in 3D (n_low = 8); the -K<=nl and -K>nl cases take
+# the other path on each geometry
 SELECT_MODELS = {
     "2d-gmm": (GEOM, lambda rng: random_gmm(rng, 5, GEOM.n_joint)),
     "2d-pcagmm": (GEOM, lambda rng: random_reduced(rng, 5, GEOM.n_joint, 6)),
     "3d-gmm": (GEOM3, lambda rng: random_gmm(rng, 5, GEOM3.n_joint)),
     "3d-pcagmm": (GEOM3, lambda rng: random_reduced(rng, 5, GEOM3.n_joint, 12)),
+    "2d-gmm-K<=nl": (GEOM, lambda rng: random_gmm(rng, 4, GEOM.n_joint)),
+    "2d-pcagmm-K<=nl": (GEOM, lambda rng: random_reduced(rng, 4, GEOM.n_joint, 6)),
+    "3d-gmm-K>nl": (GEOM3, lambda rng: random_gmm(rng, 12, GEOM3.n_joint)),
+    "3d-pcagmm-K>nl": (GEOM3, lambda rng: random_reduced(rng, 12, GEOM3.n_joint, 12)),
 }
+QUADRATIC_MODELS = ["2d-gmm", "2d-pcagmm", "3d-gmm-K>nl", "3d-pcagmm-K>nl"]
 
 
 class TestSelect:
@@ -299,6 +373,8 @@ class TestSelect:
         expected = np.array([reference_scores(model, geom, x) for x in X])
         scores = stacked_scores(blocks, X)
         np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=0)
+        if blocks.whiten is None:
+            assert np.all(np.abs(scores - expected) <= quadratic_bound(model, geom, X))
         chosen = [select_component(model, geom, x) for x in X]
         assert len(set(chosen)) > 1
         assert _select(blocks, X).tolist() == chosen
@@ -314,58 +390,75 @@ class TestSelect:
         X = 10.0 * rng.standard_normal((20, geom.n_low))
         expected = [select_component(model, geom, x) for x in X]
         assert len(set(expected)) > 1
-        width = model.n_components * geom.n_low
-        monkeypatch.setattr(linalg_mod, "_BLOCK_BYTES", rows * 8 * width)
+        row_bytes = select_row_bytes(model.n_components, geom.n_low)
+        monkeypatch.setattr(linalg_mod, "_BLOCK_BYTES", rows * row_bytes)
         assert _select(blocks, X).tolist() == expected
 
     @pytest.mark.parametrize("geom", [GEOM, GEOM3], ids=["2d", "3d"])
     def test_zero_rows(self, geom):
         rng = np.random.default_rng(5)
-        blocks = precompute_conditionals(random_gmm(rng, 3, geom.n_joint), geom)
-        empty = np.empty((0, geom.n_low))
-        assert stacked_scores(blocks, empty).shape == (0, 3)
-        ks = _select(blocks, empty)
-        assert ks.shape == (0,) and ks.dtype == np.intp
+        for K in (3, geom.n_low + 1):  # the whitening, then the quadratic form
+            blocks = precompute_conditionals(random_gmm(rng, K, geom.n_joint), geom)
+            empty = np.empty((0, geom.n_low))
+            assert stacked_scores(blocks, empty).shape == (0, K)
+            ks = _select(blocks, empty)
+            assert ks.shape == (0,) and ks.dtype == np.intp
 
     def test_ties_break_to_smallest_index(self):
-        # one component repeated at indices 1, 2 and 4 scores bitwise equally
-        # there; the component at 0 and 3 is far away
+        # one component repeated wherever order is 0 scores bitwise equally
+        # there; the other component is far away. Five components select
+        # through the quadratic form in 2D and the whitening in 3D; four in
+        # 2D and nine in 3D take the other path.
         rng = np.random.default_rng(20)
-        order = [1, 0, 0, 1, 0]
-        for geom in (GEOM, GEOM3):
+        for geom, order in (
+            (GEOM, [1, 0, 0, 1, 0]),
+            (GEOM3, [1, 0, 0, 1, 0]),
+            (GEOM, [1, 0, 0, 1]),
+            (GEOM3, [1, 0, 0, 1, 0, 1, 1, 1, 0]),
+        ):
+            K = len(order)
             params = random_gmm(rng, 2, geom.n_joint)
             params.means[1] += 1e3
             repeated = GmmParams(
-                alpha=np.full(5, 0.2),
+                alpha=np.full(K, 1.0 / K),
                 means=params.means[order],
                 covs=params.covs[order],
             )
             blocks = precompute_conditionals(repeated, geom)
             X = rng.standard_normal((50, geom.n_low))
             scores = stacked_scores(blocks, X)
-            assert np.array_equal(scores[:, 1], scores[:, 2])
-            assert np.array_equal(scores[:, 1], scores[:, 4])
-            assert np.all(_select(blocks, X) == 1)
+            first, *others = np.flatnonzero(np.array(order) == 0)
+            for k in others:
+                assert np.array_equal(scores[:, first], scores[:, k])
+            assert np.all(_select(blocks, X) == first)
 
     def test_excluded_component_is_never_read(self):
         rng = np.random.default_rng(21)
-        params = random_gmm(rng, 3, GEOM.n_joint)
-        params.covs[1][GEOM.n_high :, GEOM.n_high :] = -np.eye(GEOM.n_low)
-        with pytest.warns(UserWarning, match="excluding component 1"):
-            blocks = precompute_conditionals(params, GEOM)
-        # its stacked whitening block and shift are zero and its constant is
-        # -inf, so it scores -inf; its means and gain are never read: poison them
-        excluded = component_fields(blocks, 1)
-        assert not excluded["whiten"].any() and not excluded["shift"].any()
-        assert excluded["log_const"] == -np.inf
-        blocks.mean_low[1] = np.nan
-        blocks.mean_high[1] = np.nan
-        blocks.gain[1] = np.nan
-        X = rng.standard_normal((10, GEOM.n_low))
-        scores = stacked_scores(blocks, X)
-        assert np.all(scores[:, 1] == -np.inf)
-        assert np.all(np.isfinite(scores[:, [0, 2]]))
-        assert 1 not in _select(blocks, X)
+        for K in (3, 6):  # the whitening, then the quadratic form
+            params = random_gmm(rng, K, GEOM.n_joint)
+            params.covs[1][GEOM.n_high :, GEOM.n_high :] = -np.eye(GEOM.n_low)
+            params.means[1] = np.nan  # not even the centre reads it
+            with pytest.warns(UserWarning, match="excluding component 1"):
+                blocks = precompute_conditionals(params, GEOM)
+            # its stacked whitening block and shift, or its row of the
+            # quadratic form, are zero and its constant is -inf, so it scores
+            # -inf; its means and gain are never read: poison them
+            assert blocks.log_const[1] == -np.inf
+            if blocks.whiten is None:
+                assert not blocks.quadratic[1, :-1].any()
+                assert blocks.quadratic[1, -1] == -np.inf
+                assert np.all(np.isfinite(blocks.centre))
+            else:
+                excluded = component_fields(blocks, 1)
+                assert not excluded["whiten"].any() and not excluded["shift"].any()
+            blocks.mean_low[1] = np.nan
+            blocks.mean_high[1] = np.nan
+            blocks.gain[1] = np.nan
+            X = rng.standard_normal((10, GEOM.n_low))
+            scores = stacked_scores(blocks, X)
+            assert np.all(scores[:, 1] == -np.inf)
+            assert np.all(np.isfinite(np.delete(scores, 1, axis=1)))
+            assert 1 not in _select(blocks, X)
 
     def test_invariant_to_weight_rescaling(self):
         rng = np.random.default_rng(4)
@@ -379,13 +472,80 @@ class TestSelect:
         assert np.array_equal(_select(blocks1, X), _select(blocks2, X))
 
     def test_patch_of_zero_density_raises(self):
-        # its whitened square overflows under every component
+        # its whitened square, or its square y_i^2 in the quadratic form,
+        # overflows under every component; with two such coordinates the
+        # product y_i y_j overflows too and a score can be NaN. No
+        # RuntimeWarning escapes (the test configuration makes one an error).
         rng = np.random.default_rng(22)
-        blocks = precompute_conditionals(random_gmm(rng, 3, GEOM.n_joint), GEOM)
-        X = rng.standard_normal((10, GEOM.n_low))
-        X[7, 2] = 1e200
-        with pytest.raises(DegenerateDensity, match="zero density"):
-            _select(blocks, X)
+        for K in (3, 6):  # the whitening, then the quadratic form
+            blocks = precompute_conditionals(random_gmm(rng, K, GEOM.n_joint), GEOM)
+            for coords in ([2], [1, 2]):
+                X = rng.standard_normal((10, GEOM.n_low))
+                X[7, coords] = 1e200
+                with pytest.raises(DegenerateDensity, match="zero density"):
+                    _select(blocks, X)
+
+    def test_no_weight_on_a_valid_component_raises(self):
+        # the only weighted component is excluded: every patch has zero
+        # density, and the quadratic form's centre falls back to the plain
+        # mean of the valid low means
+        rng = np.random.default_rng(26)
+        for K in (3, 6):  # the whitening, then the quadratic form
+            params = excluding_model(rng, K)
+            params.alpha[:] = 0.0
+            params.alpha[1] = 1.0
+            with pytest.warns(UserWarning, match="excluding component 1"):
+                blocks = precompute_conditionals(params, GEOM)
+            assert blocks.centre is None or np.all(np.isfinite(blocks.centre))
+            with pytest.raises(DegenerateDensity, match="zero density"):
+                _select(blocks, rng.standard_normal((10, GEOM.n_low)))
+
+    @pytest.mark.parametrize("case", QUADRATIC_MODELS)
+    def test_quadratic_form_is_centred(self, case):
+        # data and means 1e3 from the origin: about the origin, the expanded
+        # form would cancel terms of size ||x||^2 and miss the bound by a
+        # factor of thousands
+        geom, make_model = SELECT_MODELS[case]
+        rng = np.random.default_rng(23)
+        model = shifted(make_model(rng), 1e3)
+        blocks = precompute_conditionals(model, geom)
+        X = 10.0 * rng.standard_normal((50, geom.n_low)) + 1e3
+        expected = np.array([reference_scores(model, geom, x) for x in X])
+        scores = stacked_scores(blocks, X)
+        assert np.all(np.abs(scores - expected) <= quadratic_bound(model, geom, X))
+        assert _select(blocks, X).tolist() == expected.argmax(axis=1).tolist()
+
+    @pytest.mark.parametrize("geom", [GEOM, GEOM3], ids=["2d", "3d"])
+    def test_ill_conditioned_low_blocks(self, geom):
+        # every low block has condition number 1e8; the patches are drawn
+        # around the component means, and further out
+        rng = np.random.default_rng(24)
+        K = geom.n_low + 2
+        model = ill_conditioned_gmm(rng, K, geom, 1e8)
+        blocks = precompute_conditionals(model, geom)
+        assert blocks.whiten is None
+        nh = geom.n_high
+        X = model.means[rng.integers(K, size=60), nh:] + np.repeat(
+            [0.01, 1.0], 30
+        )[:, None] * rng.standard_normal((60, geom.n_low))
+        expected = np.array([reference_scores(model, geom, x) for x in X])
+        scores = stacked_scores(blocks, X)
+        assert np.all(np.abs(scores - expected) <= quadratic_bound(model, geom, X))
+        assert _select(blocks, X).tolist() == expected.argmax(axis=1).tolist()
+
+    @pytest.mark.parametrize("geom", [GEOM, GEOM3], ids=["2d", "3d"])
+    def test_components_against_n_low_pick_one_matrix(self, geom):
+        nl = geom.n_low
+        rng = np.random.default_rng(25)
+        for K in (1, nl, nl + 1, 3 * nl):
+            blocks = precompute_conditionals(random_gmm(rng, K, geom.n_joint), geom)
+            if K <= nl:
+                assert blocks.whiten.shape == (nl + 1, K * nl)
+                assert blocks.quadratic is None and blocks.centre is None
+            else:
+                assert blocks.whiten is None
+                assert blocks.quadratic.shape == (K, nl * (nl + 1) // 2 + nl + 1)
+                assert blocks.centre.shape == (nl,)
 
 
 class TestMmse:
@@ -415,9 +575,11 @@ class TestMmse:
             mean_high=np.zeros((1, 1)),
             mean_low=np.zeros((1, 1)),
             gain=np.ones((1, 1, 1)),  # cov [[2, 1], [1, 1]] gives gain 1/1 = 1
-            whiten=np.array([[1.0], [0.0]]),
             log_const=np.zeros(1),
             valid=np.ones(1, dtype=bool),
+            whiten=np.array([[1.0], [0.0]]),
+            quadratic=None,
+            centre=None,
         )
         assert mmse_patch(blocks, 0, np.array([1.0]))[0] == pytest.approx(1.0)
 
@@ -495,19 +657,29 @@ def reference_reconstruct(low, model, geom, gamma):
     return out, set(ks)
 
 
-def excluding_model(rng):
-    params = random_gmm(rng, 3, GEOM.n_joint)
+def excluding_model(rng, K=3):
+    params = random_gmm(rng, K, GEOM.n_joint)
     params.covs[1][GEOM.n_high :, GEOM.n_high :] = -np.eye(GEOM.n_low)
     return params
 
 
-# low extents give a 6 x 8 patch grid in 2D and 3 x 4 x 5 in 3D
+# low extents give a 6 x 8 patch grid in 2D and 3 x 4 x 5 in 3D; K = 3
+# selects through the whitening, the K>nl cases through the quadratic form
 TILED_CASES = {
     "2d-pcagmm": (GEOM, (7, 9), lambda rng: random_reduced(rng, 3, GEOM.n_joint, 4)),
     "2d-gmm": (GEOM, (7, 9), lambda rng: random_gmm(rng, 3, GEOM.n_joint)),
     "2d-excluded": (GEOM, (7, 9), excluding_model),
     "3d-pcagmm": (GEOM3, (4, 5, 6), lambda rng: random_reduced(rng, 3, GEOM3.n_joint, 5)),
     "3d-gmm": (GEOM3, (4, 5, 6), lambda rng: random_gmm(rng, 3, GEOM3.n_joint)),
+    "2d-pcagmm-K>nl": (
+        GEOM, (7, 9), lambda rng: random_reduced(rng, 6, GEOM.n_joint, 4)
+    ),
+    "2d-gmm-K>nl": (GEOM, (7, 9), lambda rng: random_gmm(rng, 6, GEOM.n_joint)),
+    "2d-excluded-K>nl": (GEOM, (7, 9), lambda rng: excluding_model(rng, 6)),
+    "3d-pcagmm-K>nl": (
+        GEOM3, (4, 5, 6), lambda rng: random_reduced(rng, 10, GEOM3.n_joint, 5)
+    ),
+    "3d-gmm-K>nl": (GEOM3, (4, 5, 6), lambda rng: random_gmm(rng, 10, GEOM3.n_joint)),
 }
 
 
@@ -521,7 +693,7 @@ class TestTiledReconstruct:
         low = 10.0 * rng.standard_normal(extents)  # wide enough to pick several
         expected, chosen = reference_reconstruct(low, model, geom, 0.3)
         assert len(chosen) > 1  # the tiles group patches of several components
-        if case == "2d-excluded":
+        if case.startswith("2d-excluded"):
             assert 1 not in chosen
         count = int(np.prod([m - geom.tau + 1 for m in extents]))
         # one patch, a count that divides no grid row, more than every patch
@@ -539,19 +711,32 @@ class TestTiledReconstruct:
         # chunks and slabs shrink with it
         geom, _, make_model = TILED_CASES[case]
         K = make_model(np.random.default_rng(30)).n_components
-        monkeypatch.setattr(linalg_mod, "_BLOCK_BYTES", rows * 8 * K * geom.n_low)
+        row_bytes = select_row_bytes(K, geom.n_low)
+        monkeypatch.setattr(linalg_mod, "_BLOCK_BYTES", rows * row_bytes)
         self.test_equals_patchwise_reference(case, monkeypatch)
 
     def test_memory_is_bounded_by_the_tile(self, traced_peak):
         geom = PatchGeometry(tau=4, q=2, dims=2)
         rng = np.random.default_rng(31)
-        model = random_gmm(rng, 2, geom.n_joint)
         ceiling = 6 << 20
         # below what the estimates of every patch of the larger image need
         assert ceiling < (256 - geom.tau + 1) ** 2 * geom.n_high * 8
-        for edge in (128, 256):
-            low = rng.random((edge, edge))
-            out, peak = traced_peak(reconstruct, low, model, geom)
-            # the input and the accumulator, 12 bytes per output sample; the
-            # result is the accumulator's sums, divided in place
-            assert peak - low.nbytes - 12 * out.size < ceiling, (edge, peak)
+        # K = 2 selects through the whitening, K = 20 > n_low = 16 through
+        # the quadratic form
+        for K in (2, 20):
+            model = random_gmm(rng, K, geom.n_joint)
+            for edge in (128, 256):
+                low = rng.random((edge, edge))
+                out, peak = traced_peak(reconstruct, low, model, geom)
+                # the input and the accumulator, 12 bytes per output sample;
+                # the result is the accumulator's sums, divided in place
+                assert peak - low.nbytes - 12 * out.size < ceiling, (K, edge, peak)
+            # selection holds the labels and, per row block, scratch arrays
+            # of at most _BLOCK_BYTES each: the block next to a column of
+            # ones, its whitened rows and its scores, or the quadratic form's
+            # features and scores
+            blocks = precompute_conditionals(model, geom)
+            X = rng.random((8192, geom.n_low))
+            ks, peak = traced_peak(_select, blocks, X)
+            scratch = 3 if blocks.quadratic is None else 2
+            assert peak - ks.nbytes < scratch * linalg_mod._BLOCK_BYTES, (K, peak)
