@@ -53,28 +53,19 @@ def cholesky_spd(M):
     return L
 
 
-def regularized_cholesky(M):
-    """The floor of every estimated covariance, with its lower Cholesky
-    factor: (M', L). M' is the symmetrized copy (M + M^T) / 2, unchanged when
-    it factors and otherwise with SPD_FLOOR_SCALE * max(trace / n, _FLOOR_ABS)
-    added to its diagonal; L is the factor that accepted M', so a caller that
-    needs it does not factor again. EM covariances estimated from few samples
-    routinely need the shift. Raises NotPositiveDefinite if the shifted matrix
-    does not factor either."""
+def regularize_spd(M):
+    """The floor of an estimated full covariance: the symmetrized copy
+    (M + M^T) / 2, unchanged when it factors and otherwise with
+    SPD_FLOOR_SCALE * max(trace / n, _FLOOR_ABS) added to its diagonal. EM
+    covariances estimated from few samples routinely need the shift. Raises
+    NotPositiveDefinite if the shifted matrix does not factor either."""
     M = 0.5 * (np.asarray(M, dtype=float) + np.asarray(M, dtype=float).T)
-    L = try_cholesky(M)
-    if L is None:
+    if try_cholesky(M) is None:
         n = M.shape[0]
         M = M + SPD_FLOOR_SCALE * max(float(np.trace(M)) / n, _FLOOR_ABS) * np.eye(n)
-        L = try_cholesky(M)
-        if L is None:
+        if try_cholesky(M) is None:
             raise NotPositiveDefinite("matrix is not positive definite")
-    return M, L
-
-
-def regularize_spd(M):
-    """The floored covariance M' of regularized_cholesky(M)."""
-    return regularized_cholesky(M)[0]
+    return M
 
 
 def solve_triangular(a, b, lower=False):

@@ -22,7 +22,10 @@ gradient (Bolte, Sabach and Teboulle 2014). The proximal step on U is the
 projection onto the set of matrices with orthonormal columns.
 
 A frame costs one n x n by n x d product, C U; G and its gradient at that
-frame share one Cholesky factor of A.
+frame share one Cholesky factor of A. The start frame is factored as given:
+where A is not positive definite there, G is not finite and the solve raises
+NotPositiveDefinite. fit_pcagmm floors the scatter's diagonal before every
+solve, so each of its starts factors.
 """
 
 from dataclasses import dataclass
@@ -123,12 +126,6 @@ class _Point:
         return -(2.0 / sig2) * self.CU + 2.0 * w * CUAinv
 
 
-def _perturb_tangent(U, rng, scale=1e-6):
-    noise = rng.standard_normal(U.shape)
-    noise -= U @ (U.T @ noise)
-    return project_stiefel(U + scale * noise)
-
-
 def _leading_eigenvalue(C):
     # power iteration on the scatter about the weighted mean
     v = np.full(C.shape[0], C.shape[0] ** -0.5)
@@ -176,13 +173,7 @@ def _minimize(problem, U0, config, inertial):
             f"need a frame of shape (n, d) with 1 <= d <= n = {n}, got {U.shape}"
         )
     tol = TOL_STEP * np.sqrt(U.size)
-
-    try:
-        point = _Point(problem, U)
-    except NotPositiveDefinite:
-        # degenerate projected scatter at the start; nudge off the bad frame
-        point = _Point(problem, _perturb_tangent(U, np.random.default_rng(0)))
-
+    point = _Point(problem, U)
     tau = _initial_tau(problem)
     trace = [point.G]
     U_prev = point.U

@@ -22,12 +22,12 @@ from .gmm import (
     check_mixture,
     kmeanspp_indices,
 )
-from .linalg import block_rows, regularize_spd, stiefel_defect
+from .linalg import block_rows, stiefel_defect
 
 # palm_minimize is re-exported next to ipalm_minimize, where the benchmark's
 # tracer looks both solvers up.
 from .palm import MStepProblem, SolverConfig, ipalm_minimize, palm_minimize
-from .stats import _EMPTY_REL, SufficientStats, accumulate_stats
+from .stats import _EMPTY_REL, accumulate_stats
 
 
 @dataclass
@@ -184,15 +184,17 @@ def pcagmm_estep(model, X):
 
 def recover_component(stats, basis):
     """Frame and variances of the component whose frame spans `basis` and
-    whose offset is stats.mean: the projected scatter U^T C U / w, floored by
-    regularize_spd (the one floor of every estimated covariance), is
-    Q diag(v) Q^T with v descending, and the frame turns to U Q, which spans
-    what U spans. Raises EmptyComponent when the mass is below _EMPTY_REL.
+    whose offset is stats.mean: the projected scatter S = U^T C U / w,
+    symmetrized as (S + S^T) / 2, is Q diag(v) Q^T with v descending, and the
+    frame turns to U Q, which spans what U spans. fit_pcagmm's floor of C
+    (_floored_stats) and the solver's factor of U^T C U make S positive
+    definite, so it is not floored again. Raises EmptyComponent when the mass
+    is below _EMPTY_REL.
     """
     if stats.weight < _EMPTY_REL:
         raise EmptyComponent()
-    T = basis.T @ (stats.scatter @ basis)
-    v, Q = np.linalg.eigh(regularize_spd(T / stats.weight))
+    S = basis.T @ (stats.scatter @ basis) / stats.weight
+    v, Q = np.linalg.eigh(0.5 * (S + S.T))
     return basis @ Q[:, ::-1], v[::-1]
 
 
@@ -209,7 +211,11 @@ def _init_model(X, K, d, sigma, rng):
     n x n scatter Y^T Y when m > n, otherwise the m x m Gram matrix Y Y^T,
     whose eigenvectors E give the scatter's as the columns of Y^T E. The
     frame is the Q factor of those top d columns, zero-padded to d, so it is
-    orthonormal even where the cluster has rank below d."""
+    orthonormal even where the cluster has rank below d. Each variance is
+    floored at 1e-6 times the top one plus 1e-12, and no lower than the
+    M-step's jitter on the cluster (_floored_stats) over its size: a cluster
+    of identical patches then starts at the variance its first M-step gives
+    it, so that step does not raise the objective."""
     n = X.shape[1]
     _, labels = kmeanspp_indices(X, K, rng)
 
@@ -224,12 +230,13 @@ def _init_model(X, K, d, sigma, rng):
         center = pts.mean(axis=0)
         Y = pts - center
         lam, E = np.linalg.eigh(Y.T @ Y if m > n else Y @ Y.T)
+        jitter = 1e-10 * ((lam.sum() + m * float(center @ center)) / n + 1e-12) / m
         lam, E = lam[: -d - 1 : -1], E[:, : -d - 1 : -1]
         frame = np.zeros((n, d))
         frame[:, : lam.size] = E if m > n else Y.T @ E
         top = np.zeros(d)
         top[: lam.size] = np.maximum(lam, 0.0) / m
-        floor = 1e-6 * top[0] + 1e-12
+        floor = max(1e-6 * top[0] + 1e-12, jitter)
         bases[k] = np.linalg.qr(frame)[0]
         offsets[k] = center
         variances[k] = np.maximum(top, floor)
@@ -243,16 +250,18 @@ def _init_model(X, K, d, sigma, rng):
 
 
 def _floored_stats(stats):
-    """Add an isotropic jitter to the scatter C: 1e-10 times the mean diagonal
-    of the second moment about the origin, (trace C + w ||mean||^2) / n, plus
-    1e-22. Clusters of near-constant patches have numerically rank-deficient
-    scatter, on which the frame objective is unbounded below; the jitter keeps
-    every projected scatter factorable without visibly moving the optimum."""
+    """Add an isotropic jitter to the scatter C in place and return stats:
+    1e-10 times the mean diagonal of the second moment about the origin,
+    (trace C + w ||mean||^2) / n, plus 1e-22. Clusters of near-constant
+    patches have numerically rank-deficient scatter, on which the frame
+    objective is unbounded below; the jitter keeps every projected scatter
+    factorable, the solver's start included, without visibly moving the
+    optimum. The scatter is the one accumulate_stats made, so the M-step
+    holds one n x n array per component."""
     m, n = stats.mean, stats.mean.size
     second = float(np.trace(stats.scatter)) + stats.weight * float(m @ m)
-    scatter = stats.scatter.copy()
-    scatter.flat[:: n + 1] += 1e-10 * (second / n + 1e-12)
-    return SufficientStats(weight=stats.weight, mean=stats.mean, scatter=scatter)
+    stats.scatter.flat[:: n + 1] += 1e-10 * (second / n + 1e-12)
+    return stats
 
 
 def fit_pcagmm(X, K, d, sigma, em_config=None, solver_config=None, seed=0):
@@ -282,7 +291,7 @@ def fit_pcagmm(X, K, d, sigma, em_config=None, solver_config=None, seed=0):
             U, b, _ = ipalm_minimize(problem, model.bases[k], config=solver_config)
             model.bases[k], model.variances[k] = recover_component(stats, U)
             model.offsets[k] = b
-            del stats, problem  # before the next component's two scatters
+            del stats, problem  # before the next component's scatter
         return model
 
     def reset(model, k, x):

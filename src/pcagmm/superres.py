@@ -1,14 +1,18 @@
 """Component selection and MMSE estimation of high-resolution patches from a
 trained joint model, plus the end-to-end reconstruction driver."""
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDensity, InvalidShape, NotPositiveDefinite
+from .errors import (
+    DegenerateDensity,
+    InvalidParameter,
+    InvalidShape,
+    NotPositiveDefinite,
+)
 from .gmm import GmmParams, _fill_whitening, _inverse_factor, _score_blocks
-from .linalg import block_rows, regularized_cholesky, solve_triangular, try_cholesky
+from .linalg import block_rows, solve_triangular, try_cholesky
 
 # aggregate and extract_low are re-exported where the benchmark's tracer looks them up.
 from .patches import OverlapAdd, aggregate, extract_low, low_patch_tiles
@@ -27,26 +31,28 @@ class ConditionalBlocks:
     gain      : (K, n_high, n_low) cross-covariance times inverse low block
     log_const : (K,) log alpha_k plus the log normalizer of the low block
                 N(mean_low[k], L_k L_k^T), L_k its lower Cholesky factor
-    valid     : (K,) bool, False for excluded components
+    valid     : (K,) bool, alpha_k > 0: the components that can be selected
 
     Selection holds exactly one of two matrices, by K against n_low alone;
     the other field is None:
 
     whiten    : (n_low + 1, K n_low) when K <= n_low, the stacked whitening
-                of gmm._fill_whitening; an excluded component's columns are 0
+                of gmm._fill_whitening; a weightless component's columns are 0
     quadratic : (K, T + n_low + 1) when K > n_low, T = n_low (n_low + 1) / 2:
                 row k holds -P_ii / 2 and -P_ij (i < j) of the precision
                 P_k = L_k^{-T} L_k^{-1} in np.triu_indices order, then P_k m_k
                 and log_const[k] - m_k^T P_k m_k / 2, m_k = mean_low[k] -
                 centre, so that x scores log_const[k] - (y - m_k)^T P_k
                 (y - m_k) / 2 as one dot product with [y_i y_j (i <= j), y, 1],
-                y = x - centre; an excluded component's row is 0 but for -inf
-    centre    : (n_low,) with quadratic, the alpha-weighted mean of the valid
-                low means, which keeps the expanded form's rounding at the
-                scale of the patches' spread, not of their distance from 0
+                y = x - centre; a weightless component's row is 0 but for -inf
+    centre    : (n_low,) with quadratic, the alpha-weighted mean of the
+                weighted low means, which keeps the expanded form's rounding
+                at the scale of the patches' spread, not of their distance
+                from 0
 
-    An excluded component's constant is -inf, so it scores -inf and its other
-    fields are never read; its means are NaN, so a read would show.
+    A weightless component is not factored: its constant is -inf, so it
+    scores -inf and its other fields are never read; its means are NaN, so a
+    read would show.
     """
 
     mean_high: np.ndarray
@@ -87,8 +93,11 @@ def precompute_conditionals(model, geom):
     (see _conditioning_moments), so no n x n covariance is formed; the gain
     C_HL C_LL^{-1} then costs a solve with d right-hand sides.
 
-    A component whose low block stays indefinite even after regularization is
-    excluded from selection with a warning instead of aborting.
+    Only the components of positive weight are read. Each of their low blocks
+    is factored as stored, as the E-step factors a covariance
+    (linalg.cholesky_spd), so the density selection scores is the one the
+    model holds: a block that does not factor raises NotPositiveDefinite. A
+    model with no weight on any component raises InvalidParameter.
     """
     if not isinstance(model, (PcaGmmModel, GmmParams)):
         raise InvalidShape(f"unsupported model type {type(model).__name__}")
@@ -97,6 +106,9 @@ def precompute_conditionals(model, geom):
             f"model dimension {model.dim} does not match joint patch dimension "
             f"{geom.n_joint}"
         )
+    valid = model.alpha > 0
+    if not valid.any():
+        raise InvalidParameter("no component has positive weight")
     nh, nl = geom.n_high, geom.n_low
     K = model.n_components
     quadratic = K > nl
@@ -105,21 +117,19 @@ def precompute_conditionals(model, geom):
         mean_low=np.full((K, nl), np.nan),
         gain=np.zeros((K, nh, nl)),
         log_const=np.full(K, -np.inf),
-        valid=np.zeros(K, dtype=bool),
+        valid=valid,
         whiten=None if quadratic else np.zeros((nl + 1, K * nl)),
         quadratic=np.zeros((K, nl * (nl + 1) // 2 + nl + 1)) if quadratic else None,
         centre=np.empty(nl) if quadratic else None,
     )
     inverse = np.empty((K, nl, nl)) if quadratic else None  # each valid L_k^{-1}
-    for k in range(K):
+    for k in np.flatnonzero(valid):
         mean, cov_low, left, right = _conditioning_moments(model, k, nh)
-        try:
-            L = try_cholesky(cov_low)
-            if L is None:
-                _, L = regularized_cholesky(cov_low)
-        except NotPositiveDefinite:
-            warnings.warn(f"excluding component {k}: low block not positive definite")
-            continue
+        L = try_cholesky(cov_low)
+        if L is None:
+            raise NotPositiveDefinite(
+                f"low block of component {k} is not positive definite"
+            )
         # gain = C_HL C_LL^{-1} = A (C_LL^{-1} R)^T through the factor
         solved = solve_triangular(
             L.T, solve_triangular(L, right, lower=True), lower=False
@@ -133,9 +143,6 @@ def precompute_conditionals(model, geom):
             _fill_whitening(
                 blocks.whiten, blocks.log_const, k, L, mean[nh:], model.alpha[k]
             )
-        blocks.valid[k] = True
-    if not blocks.valid.any():
-        raise NotPositiveDefinite("every component was excluded")
     if quadratic:
         _fill_quadratic(blocks, inverse, model.alpha)
     return blocks
@@ -143,20 +150,16 @@ def precompute_conditionals(model, geom):
 
 def _fill_quadratic(blocks, inverse, alpha):
     """Write the centre and the rows of blocks.quadratic (see
-    ConditionalBlocks) from each valid component's L_k^{-1} in inverse.
+    ConditionalBlocks) from each weighted component's L_k^{-1} in inverse.
     P_k m_k and m_k^T P_k m_k are taken through w = L_k^{-1} m_k, so the
-    latter is the square ||w||^2. With no weight on any valid component,
-    whose patches all score -inf, the centre is their plain mean."""
+    latter is the square ||w||^2."""
     valid = blocks.valid
-    weights = alpha[valid]
-    blocks.centre[:] = np.average(
-        blocks.mean_low[valid], axis=0, weights=weights if weights.any() else None
-    )
+    blocks.centre[:] = np.average(blocks.mean_low[valid], axis=0, weights=alpha[valid])
     n = blocks.centre.size
     upper = np.triu_indices(n)
     half = np.where(upper[0] == upper[1], -0.5, -1.0)
     quad, T = blocks.quadratic, len(half)
-    quad[:, -1] = blocks.log_const  # -inf for an excluded component
+    quad[:, -1] = blocks.log_const  # -inf for a weightless component
     for k in np.flatnonzero(valid):
         Linv = inverse[k]
         w = Linv @ (blocks.mean_low[k] - blocks.centre)

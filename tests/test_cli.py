@@ -311,6 +311,32 @@ class TestTrainSuperresPsnr:
         assert "not positive" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_low_block_that_does_not_factor_is_numerical_failure(self, scene):
+        # a valid model (every variance positive and finite) whose low block
+        # is singular at rounding level: v = 1e-30 along a frame column inside
+        # the low rows, with sigma = 1, makes that column's entry
+        # 1 + (v - 1) = 0. The block is factored as stored, not shifted.
+        tmp, high = scene
+        low, model = tmp / "low.pgm", tmp / "model.pgmm"
+        run("degrade", "--input", high, "--output", low, "--factor", 2, "--seed", 1)
+        geom = PatchGeometry(tau=3, q=2, dims=2)
+        n, nh = geom.n_joint, geom.n_high
+        fitted = PcaGmmModel(
+            alpha=np.array([0.5, 0.5]),
+            bases=np.stack([random_stiefel(n, 2, seed=1), np.eye(n)[:, nh : nh + 2]]),
+            offsets=np.full((2, n), 0.5),
+            variances=np.array([[1.0, 1.0], [1e-30, 1.0]]),
+            sigma=1.0,
+        ).validate()
+        save_model(model, fitted, geom)
+        proc = run_process("superres", "--low", low, "--model", model,
+                           "--output", tmp / "o.pgm",
+                           flags=["-W", "error::RuntimeWarning"])
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.startswith("numerical failure:")
+        assert "low block of component 1" in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
     def test_model_payload_of_odd_length_is_data_error(self, tmp_path):
         model = tmp_path / "m.pgmm"
         save_model(

@@ -188,6 +188,28 @@ def test_no_module_imports_scipy_linalg():
     assert offenders == []
 
 
+def test_no_module_warns():
+    # a bad input ends in an exit code (errors.DataError or NumericalFailure),
+    # never in a warning the command line would print and carry on after
+    offenders = []
+    for path in sorted(Path(pcagmm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "warnings":
+                names = [alias.name for alias in node.names]
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "warnings"
+            ):
+                names = [node.func.attr]
+            else:
+                continue
+            if any(name.startswith("warn") for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_unreferenced_imports_are_only_the_traced_reexports():
     # the benchmark's tracer looks these three names up in the importing
     # module; any other module-level import a module never uses is left over

@@ -9,7 +9,7 @@ import pytest
 import pcagmm
 import pcagmm.palm as palm_mod
 from pcagmm.errors import InvalidShape, LineSearchFailed, NotPositiveDefinite
-from pcagmm.linalg import project_stiefel, random_stiefel, stiefel_defect
+from pcagmm.linalg import project_stiefel, random_stiefel
 from pcagmm.palm import MStepProblem, ipalm_minimize, palm_minimize
 from pcagmm.stats import SufficientStats, accumulate_stats
 
@@ -315,21 +315,22 @@ class TestPalm:
                 assert trace.size > 2
                 assert len(factored) == len(set(factored))
 
+    # start frames whose projected scatter U0^T C U0 is singular: e3 sees no
+    # scatter, and of [e2, e3] only e2 does (the case a nudge within the
+    # complement of U0's columns, one direction here, cannot repair)
+    @pytest.mark.parametrize(
+        "spectrum, columns",
+        [([4.0, 1.0, 0.0], [2]), ([4.0, 0.0, 0.0], [1, 2])],
+        ids=["e3", "e2-e3"],
+    )
     @pytest.mark.parametrize("minimize", [palm_minimize, ipalm_minimize])
-    def test_start_frame_without_scatter_is_nudged(self, minimize):
-        # U0 = e3 sees no scatter, so U0^T C U0 = 0 does not factor; the
-        # solve starts from the seeded tangent nudge of U0
+    def test_start_frame_without_scatter_raises(self, minimize, spectrum, columns):
+        # the start is factored as given; G is not finite there, so the solve
+        # stops cleanly with the exit-4 error instead of moving the start
         mean = np.array([1.0, 2.0, 3.0])
-        problem = centred_problem(mean, np.diag([4.0, 1.0, 0.0]), 1.0, 1.0)
-        U0 = np.eye(3)[:, 2:]
-        with pytest.raises(NotPositiveDefinite):
-            palm_mod._Point(problem, U0)
-        start = palm_mod._perturb_tangent(U0, np.random.default_rng(0))
-        assert 0.0 < np.linalg.norm(start - U0) <= 1e-5
-        U, b, trace = minimize(problem, U0)
-        assert trace[0] == palm_mod._Point(problem, start).G
-        assert np.all(np.isfinite(trace)) and np.all(np.diff(trace) <= 0.0)
-        assert stiefel_defect(U) <= 1e-10
+        problem = centred_problem(mean, np.diag(spectrum), 1.0, 1.0)
+        with pytest.raises(NotPositiveDefinite, match="projected scatter"):
+            minimize(problem, np.eye(3)[:, columns])
 
     # b0 is the weighted mean of the statistics, the offset the solver returns
     @pytest.mark.parametrize(

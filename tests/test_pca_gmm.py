@@ -571,21 +571,35 @@ class TestInit:
 
 
 class TestFlooredStats:
-    def test_jitter_on_the_diagonal_copy_is_bitwise_the_identity_sum(self):
+    def test_jitter_on_the_diagonal_in_place_is_bitwise_the_identity_sum(self):
         rng = np.random.default_rng(16)
         X = rng.standard_normal((50, 7))
         w = rng.uniform(0.1, 1.0, (50, 1))
         stats = accumulate_stats(X, w, 0)
-        before = stats.scatter.copy()
-        floored = pca_mod._floored_stats(stats)
+        scatter, before = stats.scatter, stats.scatter.copy()
         m = stats.mean
         second = float(np.trace(before)) + stats.weight * float(m @ m)
         eps = 1e-10 * (second / 7 + 1e-12)
         # the mean diagonal of the second moment about the origin
         assert second == pytest.approx(np.sum(w * X * X), rel=1e-13)
-        assert floored.scatter.tobytes() == (before + eps * np.eye(7)).tobytes()
-        assert stats.scatter.tobytes() == before.tobytes()
-        assert floored.mean is stats.mean and floored.weight == stats.weight
+        floored = pca_mod._floored_stats(stats)
+        # the same statistics, floored where accumulate_stats stored them
+        assert floored is stats and floored.scatter is scatter
+        assert scatter.tobytes() == (before + eps * np.eye(7)).tobytes()
+
+    def test_m_step_holds_one_scatter_at_a_time(self, traced_peak):
+        # at n = 400 and N = 60 one n x n scatter (1.28 MB) outweighs the
+        # data, the init's Gram matrices and the E-step; the M-step floors
+        # each component's scatter where accumulate_stats made it and drops
+        # it before the next component's
+        n = 400
+        X = np.random.default_rng(37).standard_normal((60, n))
+        for iters in (1, 2):
+            _, peak = traced_peak(
+                fit_pcagmm, X, 2, 3, 0.3, EmConfig(max_iters=iters, tol=0.0),
+                SolverConfig(max_iters=2),
+            )
+            assert peak < 1.5 * 8 * n * n, (iters, peak)
 
 
 class TestFit:
@@ -649,6 +663,28 @@ class TestFit:
         diffs = np.diff(trace.objective)
         scale = np.maximum(np.abs(trace.objective[:-1]), 1.0)
         assert np.all(diffs <= 1e-6 * scale)
+
+    @pytest.mark.parametrize("offset", [0.0, 6.0])
+    def test_cluster_of_identical_patches_trains_monotone(self, offset, monkeypatch):
+        # 60 copies of one patch, apart from a Gaussian blob: that component's
+        # scatter is exactly zero at every M-step, so every projected scatter
+        # the solver factors, its start included, is the floor's jitter
+        rng = np.random.default_rng(36)
+        blob = rng.standard_normal((120, 5)) + 6.0 - offset
+        X = np.concatenate([blob, np.full((60, 5), offset)])
+        fit = lambda: fit_pcagmm(
+            X, 2, 2, 0.3, EmConfig(max_iters=6, tol=0.0), SolverConfig(max_iters=5)
+        )
+        model, trace = fit()
+        model.validate()
+        obj = trace.objective
+        assert trace.stop == "max_iters" and np.all(np.isfinite(obj))
+        assert np.all(np.diff(obj) <= 1e-10 * np.abs(obj[:-1]))  # as check_fit
+        assert model.variances.min() < 1e-8  # the identical patches' component
+        # without the floor that start does not factor
+        monkeypatch.setattr(pca_mod, "_floored_stats", lambda stats: stats)
+        with pytest.raises(NotPositiveDefinite, match="projected scatter"):
+            fit()
 
     def test_lifting_identity_on_fitted_model(self):
         rng = np.random.default_rng(19)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -35,15 +37,12 @@ def low_block(model, geom, k):
 
 def reference_scores(model, geom, x_low):
     """Per component, log alpha_k plus gauss_logpdf of x_low under its low
-    block; -inf where the low block does not factor."""
+    block; -inf where alpha_k is 0, whose low block is not read."""
     scores = np.full(model.n_components, -np.inf)
-    for k in range(model.n_components):
-        try:
-            scores[k] = np.log(model.alpha[k]) + gauss_logpdf(
-                x_low, *low_block(model, geom, k)
-            )
-        except NotPositiveDefinite:
-            pass
+    for k in np.flatnonzero(model.alpha > 0):
+        scores[k] = np.log(model.alpha[k]) + gauss_logpdf(
+            x_low, *low_block(model, geom, k)
+        )
     return scores
 
 
@@ -433,13 +432,15 @@ class TestSelect:
             assert np.all(_select(blocks, X) == first)
 
     def test_excluded_component_is_never_read(self):
+        # a weightless component is left out of selection without a warning:
+        # its low block (-I) is not factored and its means (NaN) are not read
         rng = np.random.default_rng(21)
         for K in (3, 6):  # the whitening, then the quadratic form
-            params = random_gmm(rng, K, GEOM.n_joint)
-            params.covs[1][GEOM.n_high :, GEOM.n_high :] = -np.eye(GEOM.n_low)
-            params.means[1] = np.nan  # not even the centre reads it
-            with pytest.warns(UserWarning, match="excluding component 1"):
+            params = excluding_model(rng, K)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 blocks = precompute_conditionals(params, GEOM)
+            assert blocks.valid.tolist() == [k != 1 for k in range(K)]
             # its stacked whitening block and shift, or its row of the
             # quadratic form, are zero and its constant is -inf, so it scores
             # -inf; its means and gain are never read: poison them
@@ -458,7 +459,11 @@ class TestSelect:
             scores = stacked_scores(blocks, X)
             assert np.all(scores[:, 1] == -np.inf)
             assert np.all(np.isfinite(np.delete(scores, 1, axis=1)))
-            assert 1 not in _select(blocks, X)
+            # the same choices as the model without it, on the same path
+            kept = np.delete(np.arange(K), 1)
+            without = precompute_conditionals(without_component(params, 1), GEOM)
+            assert (without.whiten is None) == (blocks.whiten is None)
+            assert np.array_equal(_select(blocks, X), kept[_select(without, X)])
 
     def test_invariant_to_weight_rescaling(self):
         rng = np.random.default_rng(4)
@@ -486,19 +491,34 @@ class TestSelect:
                     _select(blocks, X)
 
     def test_no_weight_on_a_valid_component_raises(self):
-        # the only weighted component is excluded: every patch has zero
-        # density, and the quadratic form's centre falls back to the plain
-        # mean of the valid low means
+        # with no weight on any component nothing can be selected: a clean
+        # data error (exit 3), raised before any block is factored
         rng = np.random.default_rng(26)
         for K in (3, 6):  # the whitening, then the quadratic form
             params = excluding_model(rng, K)
             params.alpha[:] = 0.0
-            params.alpha[1] = 1.0
-            with pytest.warns(UserWarning, match="excluding component 1"):
-                blocks = precompute_conditionals(params, GEOM)
-            assert blocks.centre is None or np.all(np.isfinite(blocks.centre))
-            with pytest.raises(DegenerateDensity, match="zero density"):
-                _select(blocks, rng.standard_normal((10, GEOM.n_low)))
+            with pytest.raises(InvalidParameter, match="positive weight"):
+                precompute_conditionals(params, GEOM)
+
+    @pytest.mark.parametrize("kind", ["gmm", "pcagmm"])
+    def test_weighted_low_block_that_does_not_factor_raises(self, kind):
+        # the low block is factored as stored, with no shift: a weighted
+        # component whose block does not factor ends selection (exit 4)
+        rng = np.random.default_rng(27)
+        nh, nl = GEOM.n_high, GEOM.n_low
+        for K in (3, 6):  # the whitening, then the quadratic form
+            if kind == "gmm":
+                model = random_gmm(rng, K, GEOM.n_joint)
+                model.covs[1][nh:, nh:] = -np.eye(nl)
+            else:
+                # v = 1e-30 along a frame column inside the low rows: with
+                # sigma = 1 that column's low-block entry is 1 + (v - 1) = 0
+                model = random_reduced(rng, K, GEOM.n_joint, 3, sigma=1.0)
+                model.bases[1] = np.eye(GEOM.n_joint)[:, nh : nh + 3]
+                model.variances[1, 0] = 1e-30
+                model.validate()
+            with pytest.raises(NotPositiveDefinite, match="low block of component 1"):
+                precompute_conditionals(model, GEOM)
 
     @pytest.mark.parametrize("case", QUADRATIC_MODELS)
     def test_quadratic_form_is_centred(self, case):
@@ -658,9 +678,22 @@ def reference_reconstruct(low, model, geom, gamma):
 
 
 def excluding_model(rng, K=3):
+    """A GMM whose component 1 has no weight; its low block (-I) would not
+    factor and its mean is NaN, so any read of either would show."""
     params = random_gmm(rng, K, GEOM.n_joint)
     params.covs[1][GEOM.n_high :, GEOM.n_high :] = -np.eye(GEOM.n_low)
+    params.means[1] = np.nan
+    params.alpha[1] = 0.0
+    params.alpha /= params.alpha.sum()
     return params
+
+
+def without_component(params, k):
+    """The GMM without component k."""
+    kept = np.delete(np.arange(params.n_components), k)
+    return GmmParams(
+        alpha=params.alpha[kept], means=params.means[kept], covs=params.covs[kept]
+    )
 
 
 # low extents give a 6 x 8 patch grid in 2D and 3 x 4 x 5 in 3D; K = 3
@@ -684,7 +717,6 @@ TILED_CASES = {
 
 
 class TestTiledReconstruct:
-    @pytest.mark.filterwarnings("ignore:excluding component 1")
     @pytest.mark.parametrize("case", sorted(TILED_CASES))
     def test_equals_patchwise_reference(self, case, monkeypatch):
         geom, extents, make_model = TILED_CASES[case]
@@ -694,7 +726,13 @@ class TestTiledReconstruct:
         expected, chosen = reference_reconstruct(low, model, geom, 0.3)
         assert len(chosen) > 1  # the tiles group patches of several components
         if case.startswith("2d-excluded"):
+            # the weightless component is never chosen, and dropping it
+            # changes no output bit
             assert 1 not in chosen
+            np.testing.assert_array_equal(
+                reconstruct(low, without_component(model, 1), geom, gamma=0.3),
+                reconstruct(low, model, geom, gamma=0.3),
+            )
         count = int(np.prod([m - geom.tau + 1 for m in extents]))
         # one patch, a count that divides no grid row, more than every patch
         for size in (1, 3, count + 1):
@@ -703,7 +741,6 @@ class TestTiledReconstruct:
                 reconstruct(low, model, geom, gamma=0.3), expected, rtol=0, atol=1e-12
             )
 
-    @pytest.mark.filterwarnings("ignore:excluding component 1")
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("case", sorted(TILED_CASES))
     def test_equals_patchwise_reference_in_row_blocks(self, case, rows, monkeypatch):
